@@ -5,10 +5,16 @@
 #pragma once
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
+#include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "common/stopwatch.hpp"
 #include "common/strings.hpp"
@@ -43,16 +49,63 @@ inline void warn_if_debug_build() {
   }
 }
 
-/// Build-flavor fragment every BENCH_*.json carries, so a debug-build run, an
-/// EECS_OBS_OFF (telemetry stripped) run, or a scalar-dispatch (SIMD off) run
-/// is visible in the committed artifact itself. eecs_simd records the active
-/// dispatch backend ("sse2"/"avx2"/"avx512"/"neon", "emul256"/"emul512", or
-/// "scalar"); eecs_simd_width its virtual lane width in bits (128/256/512),
-/// so rows from baseline and -march=x86-64-v3/v4 builds stay comparable.
+/// Native SIMD tiers compiled into this binary, narrowest first, comma
+/// separated ("sse2,avx2,avx512" for the default x86-64 build; empty when
+/// only the scalar emulation exists). The CPU may run fewer of them.
+inline std::string simd_compiled_tiers() {
+  std::string tiers;
+#if defined(EECS_SIMD_SSE2)
+  tiers = "sse2";
+#elif defined(EECS_SIMD_NEON)
+  tiers = "neon";
+#endif
+#if defined(EECS_SIMD_AVX2)
+  tiers += ",avx2";
+#endif
+#if defined(EECS_SIMD_AVX512)
+  tiers += ",avx512";
+#endif
+  return tiers;
+}
+
+/// The CPU's brand string (CPUID leaves 0x80000002-4), or "unknown".
+inline std::string cpu_brand() {
+#if defined(__x86_64__) || defined(__i386__)
+  unsigned regs[12] = {};
+  for (unsigned i = 0; i < 3; ++i) {
+    if (__get_cpuid(0x80000002u + i, &regs[4 * i], &regs[4 * i + 1], &regs[4 * i + 2],
+                    &regs[4 * i + 3]) == 0) {
+      return "unknown";
+    }
+  }
+  char brand[sizeof regs + 1] = {};
+  std::memcpy(brand, regs, sizeof regs);
+  std::string out(brand);
+  const auto first = out.find_first_not_of(' ');
+  const auto last = out.find_last_not_of(' ');
+  return first == std::string::npos ? "unknown" : out.substr(first, last - first + 1);
+#else
+  return "unknown";
+#endif
+}
+
+/// Build-flavor and host fingerprint every BENCH_*.json carries, so a
+/// debug-build run, an EECS_OBS_OFF (telemetry stripped) run, a
+/// scalar-dispatch (SIMD off) run, or a run on other hardware is visible in
+/// the committed artifact itself. eecs_simd records the active dispatch
+/// backend ("sse2"/"avx2"/"avx512"/"neon", "emul256"/"emul512", or "scalar")
+/// and eecs_simd_width its virtual lane width in bits (128/256/512), picked
+/// at run time from eecs_simd_compiled (the tiers in the binary) by what the
+/// CPU supports; threads is the parallel width in use out of the host's
+/// hardware_threads.
 inline std::string json_build_context() {
-  return format("\"ndebug\": %s, \"obs\": \"%s\", \"eecs_simd\": \"%s\", \"eecs_simd_width\": %d",
-                kAssertsCompiledIn ? "false" : "true", obs::kEnabled ? "on" : "off",
-                simd::dispatch_name(), simd::dispatch_width());
+  return format(
+      "\"ndebug\": %s, \"obs\": \"%s\", \"eecs_simd\": \"%s\", \"eecs_simd_width\": %d, "
+      "\"eecs_simd_compiled\": \"%s\", \"hardware_threads\": %d, \"threads\": %d, "
+      "\"cpu_model\": \"%s\"",
+      kAssertsCompiledIn ? "false" : "true", obs::kEnabled ? "on" : "off", simd::dispatch_name(),
+      simd::dispatch_width(), simd_compiled_tiers().c_str(), common::hardware_threads(),
+      common::max_threads(), cpu_brand().c_str());
 }
 
 /// Sampled ground-truth frames of one (dataset, camera) segment.

@@ -285,9 +285,9 @@ BENCHMARK(BM_ContextGate)->Arg(0)->Arg(1);
 // and the forced-emulation twins (-256/-512). Outputs are bit-identical
 // across every mode by contract (see tools/sim_determinism); these quantify
 // the speed side of the trade. Labels carry the resolved dispatch backend
-// ("sse2", "avx2", "emul512", ...) so JSON rows from baseline and -march
-// builds stay distinguishable. Single threaded so the dispatch mode is the
-// only variable.
+// ("sse2", "avx2", "emul512", ...) so JSON rows from hosts that run
+// different tiers stay distinguishable. Single threaded so the dispatch mode
+// is the only variable.
 void BM_SimdKernelsCensus(benchmark::State& state) {
   const common::ScopedThreads width(1);
   const simd::ScopedSimd mode(static_cast<int>(state.range(0)));
@@ -411,6 +411,11 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("eecs_simd", eecs::simd::dispatch_name());
   benchmark::AddCustomContext("eecs_simd_width",
                               std::to_string(eecs::simd::dispatch_width()));
+  benchmark::AddCustomContext("eecs_simd_compiled", eecs::bench::simd_compiled_tiers());
+  benchmark::AddCustomContext("hardware_threads",
+                              std::to_string(eecs::common::hardware_threads()));
+  benchmark::AddCustomContext("threads", std::to_string(eecs::common::max_threads()));
+  benchmark::AddCustomContext("cpu_model", eecs::bench::cpu_brand());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -201,9 +201,13 @@ inline float atan2f_portable(float y, float x) {
 /// with compare masks and blends the per-interval reductions; lanes holding
 /// a zero, infinite, or NaN operand are recomputed through the scalar
 /// reference (they never occur in the gradient kernels' interiors, so the
-/// branch is cold there).
+/// branch is cold there). Always inlined, with the packs passed by
+/// reference: this header template is declared at baseline flags, so a wide
+/// pack's ops only get its tier's ISA once the body lands in the tier kernel
+/// that calls it (common/simd.hpp "Kernel tiers"), and no baseline signature
+/// carries a wide vector by value.
 template <class F4>
-F4 atan2f_pack(F4 y, F4 x) {
+[[gnu::always_inline]] inline F4 atan2f_pack(const F4& y, const F4& x) {
   using namespace atan_detail;
   using U = typename F4::Mask;
   const U abs_mask = U::broadcast(0x7FFFFFFFu);

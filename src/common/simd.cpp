@@ -68,11 +68,12 @@ int env_default() {
 
 /// Runtime CPU support for each compiled native tier. The 128-bit tier is
 /// the build baseline (SSE2/NEON), so compiled-in implies supported; the
-/// wider x86 tiers may be compiled into a binary that runs on a narrower
-/// host, so they are probed.
+/// wider x86 tiers are compiled for x86-64-v3/v4 (every feature of the
+/// level, not only AVX2/AVX-512F, may appear in their code), so they are
+/// probed for the whole level.
 bool native256_available() {
 #if defined(EECS_SIMD_AVX2)
-  static const bool value = __builtin_cpu_supports("avx2");
+  static const bool value = __builtin_cpu_supports("x86-64-v3");
   return value;
 #else
   return false;
@@ -81,7 +82,7 @@ bool native256_available() {
 
 bool native512_available() {
 #if defined(EECS_SIMD_AVX512)
-  static const bool value = __builtin_cpu_supports("avx512f");
+  static const bool value = __builtin_cpu_supports("x86-64-v4");
   return value;
 #else
   return false;
@@ -173,6 +174,19 @@ bool enabled() {
     case Dispatch::kNative256:
     case Dispatch::kNative512:
       return true;
+    default:
+      return false;
+  }
+}
+
+bool native_available(int width_bits) {
+  switch (width_bits) {
+    case 128:
+      return kNativeBackend;
+    case 256:
+      return native256_available();
+    case 512:
+      return native512_available();
     default:
       return false;
   }

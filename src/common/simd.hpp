@@ -5,14 +5,12 @@
 // identical API: a native one (SSE2/AVX2/AVX-512 on x86, NEON on AArch64) and
 // a scalar emulation twin (`F32xEmul<W>` etc.) that executes the very same
 // lane-blocked order with plain scalar IEEE arithmetic. Kernels are written
-// once, templated over the pack type, and dispatched at runtime through an
-// ISA tag:
+// once, templated over an ISA tag whose ::F32/::F64/::U32 name the packs,
+// compiled once per x86 tier ("Kernel tiers" at the bottom), and dispatched
+// at runtime through the tag:
 //
-//   template <class F4> void kernel_impl(...);   // lane-blocked body
-//   simd::dispatch([&](auto isa) {
-//     using F4 = typename decltype(isa)::F32;
-//     kernel_impl<F4>(...);
-//   });
+//   template <class Isa> struct BlurKernels { static void rows(...); };
+//   simd::dispatch([&](auto isa) { BlurKernels<decltype(isa)>::rows(...); });
 //
 // The bit-exactness contract (same as the thread-pool layer, DESIGN.md "SIMD
 // & portability"): a kernel may vectorize only ACROSS independent output
@@ -22,13 +20,14 @@
 // correctly-rounded sqrt, exact floor), so the native and emulated builds,
 // every ISA, and every WIDTH produce bit-identical results by construction.
 // No FMA is ever emitted through this API (mul and add round separately,
-// like the scalar code they replace); arch-enabled builds must compile with
-// -ffp-contract=off so the compiler cannot fuse them behind our back.
+// like the scalar code they replace); every unit compiles with
+// -ffp-contract=off so the compiler cannot fuse them behind our back in the
+// FMA-capable AVX2/AVX-512 tiers.
 //
 // Runtime control mirrors the threads knob: `config.simd` (runners, via
 // ScopedSimd) > `EECS_SIMD` env > compiled default. Modes:
 //     0            scalar emulation at the baseline width (4 lanes)
-//     1 / "auto"   widest native backend compiled in AND supported by the CPU
+//     1 / "auto"   widest native tier compiled in AND supported by the CPU
 //     128/256/512  native packs of that width when compiled in and CPU-
 //                  supported, else the bit-identical emulation twin of the
 //                  SAME width (so wide code paths run everywhere)
@@ -47,17 +46,12 @@
 #if !defined(EECS_SIMD_DISABLE)
 #if defined(__SSE2__) || (defined(_M_X64) && !defined(_M_ARM64EC))
 #define EECS_SIMD_SSE2 1
-#include <emmintrin.h>
-#if defined(__SSE4_1__)
-#include <smmintrin.h>
-#endif
-#if defined(__AVX2__)
+#include <immintrin.h>
+// The wide x86 tiers are compiled in separate units (see "Kernel tiers"
+// below); the build defines EECS_SIMD_X86_TIERS when it compiles them.
+#if defined(EECS_SIMD_X86_TIERS)
 #define EECS_SIMD_AVX2 1
-#include <immintrin.h>
-#endif
-#if defined(__AVX512F__)
 #define EECS_SIMD_AVX512 1
-#include <immintrin.h>
 #endif
 #elif defined(__aarch64__) && defined(__ARM_NEON)
 #define EECS_SIMD_NEON 1
@@ -421,9 +415,9 @@ inline void transpose4(F32x4Emul& a, F32x4Emul& b, F32x4Emul& c, F32x4Emul& d) {
 
 // ---------------------------------------------------------------------------
 // Native backends. Each implements the exact per-lane semantics above at its
-// width. Wider x86 tiers are only compiled under -march flags that enable
-// them (CMake option EECS_ARCH); the dispatcher additionally checks CPU
-// support at runtime before selecting them.
+// width. The 128-bit packs use the build's baseline ISA (x86-64-v2 / NEON);
+// the wider x86 packs are compiled for their own tier (below), and the
+// dispatcher checks CPU support at runtime before selecting them.
 // ---------------------------------------------------------------------------
 
 #if defined(EECS_SIMD_SSE2)
@@ -682,7 +676,29 @@ using F64x2 = F64x2Emul;
 
 #endif
 
+// The target pragmas of the wide x86 tiers: exactly the features x86-64-v3
+// and x86-64-v4 add to the x86-64-v2 baseline. A feature list adds to the
+// command line's ISA where an arch= target would replace it, so the tiers
+// also build when CXXFLAGS already ask for a wider -march.
+#define EECS_SIMD_TARGET_X86_64_V3 \
+  _Pragma("GCC target(\"avx2,bmi,bmi2,f16c,fma,lzcnt,movbe,xsave\")")
+#define EECS_SIMD_TARGET_X86_64_V4 \
+  _Pragma("GCC target(\"avx2,bmi,bmi2,f16c,fma,lzcnt,movbe,xsave,avx512f,avx512bw,avx512cd,avx512dq,avx512vl\")")
+
+// The wide x86 packs are compiled for their tier's ISA with a target region
+// (GCC applies `#pragma GCC target` to every function declared inside it),
+// so they exist in every build of the library while only tier code, which
+// is declared inside the same kind of region, can inline them. They live in
+// the `avx2` / `avx512` namespaces: every function whose name does not
+// mention one of those namespaces must stay free of VEX/EVEX code (the
+// `isa_isolation` test checks the built libraries). The binary operators are
+// members rather than hidden friends because GCC does not apply the target
+// pragma to friend functions defined inside a class.
+
 #if defined(EECS_SIMD_AVX2)
+#pragma GCC push_options
+EECS_SIMD_TARGET_X86_64_V3
+namespace avx2 {
 
 struct U32x8 {
   static constexpr int kLanes = 8;
@@ -695,10 +711,10 @@ struct U32x8 {
     return tmp[i];
   }
 
-  friend U32x8 operator&(U32x8 a, U32x8 b) { return {_mm256_and_si256(a.v, b.v)}; }
-  friend U32x8 operator|(U32x8 a, U32x8 b) { return {_mm256_or_si256(a.v, b.v)}; }
-  friend U32x8 operator^(U32x8 a, U32x8 b) { return {_mm256_xor_si256(a.v, b.v)}; }
-  friend U32x8 operator-(U32x8 a, U32x8 b) { return {_mm256_sub_epi32(a.v, b.v)}; }
+  U32x8 operator&(U32x8 b) const { return {_mm256_and_si256(v, b.v)}; }
+  U32x8 operator|(U32x8 b) const { return {_mm256_or_si256(v, b.v)}; }
+  U32x8 operator^(U32x8 b) const { return {_mm256_xor_si256(v, b.v)}; }
+  U32x8 operator-(U32x8 b) const { return {_mm256_sub_epi32(v, b.v)}; }
   [[nodiscard]] static U32x8 cmpeq(U32x8 a, U32x8 b) { return {_mm256_cmpeq_epi32(a.v, b.v)}; }
   [[nodiscard]] static U32x8 cmpgt_signed(U32x8 a, U32x8 b) {
     return {_mm256_cmpgt_epi32(a.v, b.v)};
@@ -730,10 +746,10 @@ struct F32x8 {
     return tmp[i];
   }
 
-  friend F32x8 operator+(F32x8 a, F32x8 b) { return {_mm256_add_ps(a.v, b.v)}; }
-  friend F32x8 operator-(F32x8 a, F32x8 b) { return {_mm256_sub_ps(a.v, b.v)}; }
-  friend F32x8 operator*(F32x8 a, F32x8 b) { return {_mm256_mul_ps(a.v, b.v)}; }
-  friend F32x8 operator/(F32x8 a, F32x8 b) { return {_mm256_div_ps(a.v, b.v)}; }
+  F32x8 operator+(F32x8 b) const { return {_mm256_add_ps(v, b.v)}; }
+  F32x8 operator-(F32x8 b) const { return {_mm256_sub_ps(v, b.v)}; }
+  F32x8 operator*(F32x8 b) const { return {_mm256_mul_ps(v, b.v)}; }
+  F32x8 operator/(F32x8 b) const { return {_mm256_div_ps(v, b.v)}; }
 
   [[nodiscard]] static F32x8 sqrt(F32x8 a) { return {_mm256_sqrt_ps(a.v)}; }
   [[nodiscard]] static F32x8 floor(F32x8 a) { return {_mm256_floor_ps(a.v)}; }
@@ -787,14 +803,22 @@ struct F64x4 {
     return tmp[i];
   }
 
-  friend F64x4 operator+(F64x4 a, F64x4 b) { return {_mm256_add_pd(a.v, b.v)}; }
-  friend F64x4 operator-(F64x4 a, F64x4 b) { return {_mm256_sub_pd(a.v, b.v)}; }
-  friend F64x4 operator*(F64x4 a, F64x4 b) { return {_mm256_mul_pd(a.v, b.v)}; }
+  F64x4 operator+(F64x4 b) const { return {_mm256_add_pd(v, b.v)}; }
+  F64x4 operator-(F64x4 b) const { return {_mm256_sub_pd(v, b.v)}; }
+  F64x4 operator*(F64x4 b) const { return {_mm256_mul_pd(v, b.v)}; }
 };
 
+}  // namespace avx2
+#pragma GCC pop_options
+using avx2::F32x8;
+using avx2::F64x4;
+using avx2::U32x8;
 #endif  // EECS_SIMD_AVX2
 
 #if defined(EECS_SIMD_AVX512)
+#pragma GCC push_options
+EECS_SIMD_TARGET_X86_64_V4
+namespace avx512 {
 
 struct U32x16 {
   static constexpr int kLanes = 16;
@@ -807,10 +831,10 @@ struct U32x16 {
     return tmp[i];
   }
 
-  friend U32x16 operator&(U32x16 a, U32x16 b) { return {_mm512_and_si512(a.v, b.v)}; }
-  friend U32x16 operator|(U32x16 a, U32x16 b) { return {_mm512_or_si512(a.v, b.v)}; }
-  friend U32x16 operator^(U32x16 a, U32x16 b) { return {_mm512_xor_si512(a.v, b.v)}; }
-  friend U32x16 operator-(U32x16 a, U32x16 b) { return {_mm512_sub_epi32(a.v, b.v)}; }
+  U32x16 operator&(U32x16 b) const { return {_mm512_and_si512(v, b.v)}; }
+  U32x16 operator|(U32x16 b) const { return {_mm512_or_si512(v, b.v)}; }
+  U32x16 operator^(U32x16 b) const { return {_mm512_xor_si512(v, b.v)}; }
+  U32x16 operator-(U32x16 b) const { return {_mm512_sub_epi32(v, b.v)}; }
   // AVX-512 compares produce k-masks; expand back to the full-width all-ones
   // vector masks of the narrower ISAs (masks double as DATA in the census
   // and atan2 kernels, so the representation is part of the contract).
@@ -828,6 +852,12 @@ struct F32x16 {
   using Mask = U32x16;
   __m512 v;
 
+  // The all-lanes gather, sqrt, floor, min and max below use the masked
+  // forms with every lane selected: GCC 12's unmasked forms start from
+  // _mm512_undefined_ps(), which trips -Wmaybe-uninitialized wherever they
+  // are inlined. Same instructions, same results.
+  static constexpr __mmask16 kAll = 0xFFFF;
+
   static F32x16 load(const float* p) { return {_mm512_loadu_ps(p)}; }
   static F32x16 broadcast(float x) { return {_mm512_set1_ps(x)}; }
   static F32x16 set(float a, float b, float c, float d, float e, float f, float g, float h,
@@ -835,7 +865,7 @@ struct F32x16 {
     return {_mm512_setr_ps(a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, q)};
   }
   static F32x16 gather(const float* p, const int* idx) {
-    return {_mm512_i32gather_ps(_mm512_loadu_si512(idx), p, 4)};
+    return {_mm512_mask_i32gather_ps(_mm512_setzero_ps(), kAll, _mm512_loadu_si512(idx), p, 4)};
   }
   static F32x16 gather_stride(const float* p, std::size_t stride) {
     alignas(64) float tmp[16];
@@ -849,18 +879,24 @@ struct F32x16 {
     return tmp[i];
   }
 
-  friend F32x16 operator+(F32x16 a, F32x16 b) { return {_mm512_add_ps(a.v, b.v)}; }
-  friend F32x16 operator-(F32x16 a, F32x16 b) { return {_mm512_sub_ps(a.v, b.v)}; }
-  friend F32x16 operator*(F32x16 a, F32x16 b) { return {_mm512_mul_ps(a.v, b.v)}; }
-  friend F32x16 operator/(F32x16 a, F32x16 b) { return {_mm512_div_ps(a.v, b.v)}; }
+  F32x16 operator+(F32x16 b) const { return {_mm512_add_ps(v, b.v)}; }
+  F32x16 operator-(F32x16 b) const { return {_mm512_sub_ps(v, b.v)}; }
+  F32x16 operator*(F32x16 b) const { return {_mm512_mul_ps(v, b.v)}; }
+  F32x16 operator/(F32x16 b) const { return {_mm512_div_ps(v, b.v)}; }
 
-  [[nodiscard]] static F32x16 sqrt(F32x16 a) { return {_mm512_sqrt_ps(a.v)}; }
+  [[nodiscard]] static F32x16 sqrt(F32x16 a) {
+    return {_mm512_maskz_sqrt_ps(kAll, a.v)};
+  }
   [[nodiscard]] static F32x16 floor(F32x16 a) {
-    return {_mm512_roundscale_ps(a.v, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC)};
+    return {_mm512_maskz_roundscale_ps(kAll, a.v, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC)};
   }
   // AVX-512 vminps/vmaxps keep the SSE tie rule (return b on ties/NaN).
-  [[nodiscard]] static F32x16 min(F32x16 a, F32x16 b) { return {_mm512_min_ps(a.v, b.v)}; }
-  [[nodiscard]] static F32x16 max(F32x16 a, F32x16 b) { return {_mm512_max_ps(a.v, b.v)}; }
+  [[nodiscard]] static F32x16 min(F32x16 a, F32x16 b) {
+    return {_mm512_maskz_min_ps(kAll, a.v, b.v)};
+  }
+  [[nodiscard]] static F32x16 max(F32x16 a, F32x16 b) {
+    return {_mm512_maskz_max_ps(kAll, a.v, b.v)};
+  }
   [[nodiscard]] static Mask gt(F32x16 a, F32x16 b) {
     return {_mm512_maskz_set1_epi32(_mm512_cmp_ps_mask(a.v, b.v, _CMP_GT_OQ), -1)};
   }
@@ -900,7 +936,9 @@ struct F64x8 {
     }
     return {_mm512_load_pd(tmp)};
   }
-  static F64x8 load2f(const float* p) { return {_mm512_cvtps_pd(_mm256_loadu_ps(p))}; }
+  static F64x8 load2f(const float* p) {
+    return {_mm512_maskz_cvtps_pd(static_cast<__mmask8>(0xFF), _mm256_loadu_ps(p))};
+  }
   [[nodiscard]] static F64x8 select_gt(F64x8 v, F64x8 t, F64x8 x, F64x8 y) {
     return {_mm512_mask_blend_pd(_mm512_cmp_pd_mask(v.v, t.v, _CMP_GT_OQ), y.v, x.v)};
   }
@@ -911,11 +949,16 @@ struct F64x8 {
     return tmp[i];
   }
 
-  friend F64x8 operator+(F64x8 a, F64x8 b) { return {_mm512_add_pd(a.v, b.v)}; }
-  friend F64x8 operator-(F64x8 a, F64x8 b) { return {_mm512_sub_pd(a.v, b.v)}; }
-  friend F64x8 operator*(F64x8 a, F64x8 b) { return {_mm512_mul_pd(a.v, b.v)}; }
+  F64x8 operator+(F64x8 b) const { return {_mm512_add_pd(v, b.v)}; }
+  F64x8 operator-(F64x8 b) const { return {_mm512_sub_pd(v, b.v)}; }
+  F64x8 operator*(F64x8 b) const { return {_mm512_mul_pd(v, b.v)}; }
 };
 
+}  // namespace avx512
+#pragma GCC pop_options
+using avx512::F32x16;
+using avx512::F64x8;
+using avx512::U32x16;
 #endif  // EECS_SIMD_AVX512
 
 // ---------------------------------------------------------------------------
@@ -957,6 +1000,7 @@ struct IsaNative128 {
 };
 #endif
 #if defined(EECS_SIMD_AVX2)
+namespace avx2 {
 struct IsaNative256 {
   using F32 = F32x8;
   using U32 = U32x8;
@@ -964,8 +1008,11 @@ struct IsaNative256 {
   static constexpr int kWidthBits = 256;
   static constexpr bool kIsNative = true;
 };
+}  // namespace avx2
+using avx2::IsaNative256;
 #endif
 #if defined(EECS_SIMD_AVX512)
+namespace avx512 {
 struct IsaNative512 {
   using F32 = F32x16;
   using U32 = U32x16;
@@ -973,11 +1020,20 @@ struct IsaNative512 {
   static constexpr int kWidthBits = 512;
   static constexpr bool kIsNative = true;
 };
+}  // namespace avx512
+using avx512::IsaNative512;
 #endif
+
+/// True when the native packs of `width_bits` (128/256/512) are compiled
+/// into this binary and the CPU runs them: the 128-bit tier is the build
+/// baseline, the 256/512-bit tiers need every x86-64-v3/v4 feature.
+[[nodiscard]] bool native_available(int width_bits);
 
 /// Invoke fn with the ISA tag of the current runtime mode. Native cases not
 /// compiled into this binary are unreachable (current_dispatch() never
-/// returns them); the default keeps the switch total.
+/// returns them); the default keeps the switch total. fn is instantiated for
+/// every tag in the caller's (baseline) unit, so for the wide native tags it
+/// may only call kernels compiled in their tier units — see "Kernel tiers".
 template <class Fn>
 decltype(auto) dispatch(Fn&& fn) {
   switch (current_dispatch()) {
@@ -1003,9 +1059,10 @@ decltype(auto) dispatch(Fn&& fn) {
   }
 }
 
-/// Invoke fn once per ISA tag available in this binary (every emulation
-/// width plus every compiled native width), regardless of the runtime mode.
-/// Test and verification harnesses sweep kernels across widths with this.
+/// Invoke fn once per ISA tag this binary can run here (every emulation
+/// width plus every native width that native_available() reports),
+/// regardless of the runtime mode. Test and verification harnesses sweep
+/// kernels across widths with this; the same tier rule as dispatch() holds.
 template <class Fn>
 void for_each_isa(Fn&& fn) {
   fn(IsaEmul128{});
@@ -1015,11 +1072,81 @@ void for_each_isa(Fn&& fn) {
   fn(IsaNative128{});
 #endif
 #if defined(EECS_SIMD_AVX2)
-  fn(IsaNative256{});
+  if (native_available(256)) fn(IsaNative256{});
 #endif
 #if defined(EECS_SIMD_AVX512)
-  fn(IsaNative512{});
+  if (native_available(512)) fn(IsaNative512{});
 #endif
 }
+
+// ---------------------------------------------------------------------------
+// Kernel tiers. A source file holding kernel bodies is compiled once per x86
+// tier (CMake: eecs_simd_tiers): the baseline unit (x86-64-v2, EECS_SIMD_TIER
+// 0) compiles the whole file, and the AVX2 (x86-64-v3, EECS_SIMD_TIER 256)
+// and AVX-512 (x86-64-v4, EECS_SIMD_TIER 512) units compile only its tier
+// section — a class template of kernels over the ISA tag, bracketed like so:
+//
+//   EECS_SIMD_TIER_BEGIN
+//   template <class Isa> struct BlurKernels { static void rows(...); };
+//   template <class Isa> void BlurKernels<Isa>::rows(...) { ...packs... }
+//   EECS_SIMD_TIER_KERNELS(BlurKernels);
+//   EECS_SIMD_TIER_END
+//   #if EECS_SIMD_TIER == 0
+//   ... simd::dispatch([&](auto isa) { BlurKernels<decltype(isa)>::rows(...); });
+//   #endif
+//
+// In a wide unit the section sits in a `#pragma GCC target` region that
+// opens after every header was included, so only functions declared inside
+// it (the kernels, their helper templates and lambdas) get the tier's ISA;
+// inline and template code from headers stays baseline code there and can
+// never be folded into a VEX/EVEX copy that a pre-AVX2 host would run.
+// Helpers in a tier section must therefore be templates over the ISA tag or
+// pack type (their names then carry the tier namespace, which the
+// isa_isolation test keys on); baseline helpers belong outside it. A header
+// template that takes packs is instantiated outside any region and has to
+// be always_inline (see atan2f_pack). Every unit builds with
+// -ffp-contract=off, so no tier fuses a multiply-add.
+//
+// EECS_SIMD_TIER_KERNELS(K) explicitly instantiates K for the tags the unit
+// compiles and, in the baseline unit, declares the wide instantiations that
+// the tier units provide, so dispatch() calls them instead of instantiating
+// them at baseline flags.
+// ---------------------------------------------------------------------------
+
+#if !defined(EECS_SIMD_TIER)
+#define EECS_SIMD_TIER 0
+#endif
+
+#if EECS_SIMD_TIER == 256
+#define EECS_SIMD_TIER_BEGIN _Pragma("GCC push_options") EECS_SIMD_TARGET_X86_64_V3
+#define EECS_SIMD_TIER_END _Pragma("GCC pop_options")
+#define EECS_SIMD_TIER_KERNELS(K) template struct K<::eecs::simd::IsaNative256>
+#elif EECS_SIMD_TIER == 512
+#define EECS_SIMD_TIER_BEGIN _Pragma("GCC push_options") EECS_SIMD_TARGET_X86_64_V4
+#define EECS_SIMD_TIER_END _Pragma("GCC pop_options")
+#define EECS_SIMD_TIER_KERNELS(K) template struct K<::eecs::simd::IsaNative512>
+#else
+#define EECS_SIMD_TIER_BEGIN
+#define EECS_SIMD_TIER_END
+#if defined(EECS_SIMD_SSE2) || defined(EECS_SIMD_NEON)
+#define EECS_SIMD_TIER_NATIVE128(K) template struct K<::eecs::simd::IsaNative128>;
+#else
+#define EECS_SIMD_TIER_NATIVE128(K)
+#endif
+#if defined(EECS_SIMD_AVX2)
+#define EECS_SIMD_TIER_WIDE(K)                                  \
+  extern template struct K<::eecs::simd::IsaNative256>;        \
+  extern template struct K<::eecs::simd::IsaNative512>;
+#else
+#define EECS_SIMD_TIER_WIDE(K)
+#endif
+#define EECS_SIMD_TIER_KERNELS(K)                               \
+  template struct K<::eecs::simd::IsaEmul128>;                 \
+  template struct K<::eecs::simd::IsaEmul256>;                 \
+  template struct K<::eecs::simd::IsaEmul512>;                 \
+  EECS_SIMD_TIER_NATIVE128(K)                                   \
+  EECS_SIMD_TIER_WIDE(K)                                        \
+  static_assert(true)
+#endif
 
 }  // namespace eecs::simd

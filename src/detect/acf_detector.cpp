@@ -12,6 +12,33 @@
 
 namespace eecs::detect {
 
+/// One scale's soft cascade as AcfDetector::run scans it: every stump
+/// resolved to a flat offset into the scale's channel map, with the
+/// per-stump constants hoisted out of the scan in the exact doubles the
+/// per-window loop produced.
+struct AcfCascade {
+  std::vector<std::size_t> offset;  ///< Channel-map offset of each stump's feature.
+  std::vector<double> a;            ///< double(alpha) * double(polarity).
+  std::vector<double> na;           ///< -a (bit-exact: IEEE multiply is sign-symmetric).
+  std::vector<double> thr;          ///< Threshold widened to double.
+  std::vector<double> remaining_after;  ///< total_alpha minus |alpha| through stump k.
+  std::size_t check_every = 1;      ///< Stumps between cascade tests.
+  double reject_rhs = 0.0;          ///< cascade_margin * total_alpha.
+  float score_floor = 0.0f;         ///< Surviving windows must score above this.
+};
+
+/// A window that survived the cascade: anchor (channel-map cells) and score.
+struct AcfHit {
+  int x0 = 0;
+  int y0 = 0;
+  double score = 0.0;
+};
+
+}  // namespace eecs::detect
+
+EECS_SIMD_TIER_BEGIN
+namespace eecs::detect {
+
 namespace {
 
 /// One output row of 4x4 block-averaged color aggregation. Each lane owns
@@ -127,17 +154,24 @@ void acf_gradient_row(const float* mag_src, const float* ori_src, int iw, int y,
 
 }  // namespace
 
-ChannelMap compute_acf_channels(const imaging::Image& img, energy::CostCounter* cost) {
-  const int aw = img.width() / kAcfShrink;
-  const int ah = img.height() / kAcfShrink;
-  ChannelMap map;
-  map.width = aw;
-  map.height = ah;
-  map.data.assign(static_cast<std::size_t>(kAcfChannels) * static_cast<std::size_t>(aw) *
-                      static_cast<std::size_t>(ah),
-                  0.0f);
-  if (aw == 0 || ah == 0) return map;
+/// The ACF channel and cascade-scan kernels of one ISA tag; a tier section
+/// (common/simd.hpp "Kernel tiers").
+template <class Isa>
+struct AcfKernels {
+  /// Fills the aggregated channels of `img` into the zeroed map (aw, ah >= 1).
+  static void channels(const imaging::Image& img, ChannelMap& map);
+  /// Scans anchor rows [y_lo, y_hi] x columns [0, max_x] of a channel map of
+  /// row stride cw, charging classifier ops per window and appending the
+  /// surviving windows in (y0, x0) order.
+  static void scan(const AcfCascade& cascade, const float* map_data, std::size_t cw, int y_lo,
+                   int y_hi, int max_x, energy::CostCounter* cost, std::vector<AcfHit>& hits);
+};
 
+template <class Isa>
+void AcfKernels<Isa>::channels(const imaging::Image& img, ChannelMap& map) {
+  using F4 = typename Isa::F32;
+  const int aw = map.width;
+  const int ah = map.height;
   auto plane = [&](int c) {
     return map.data.data() + static_cast<std::size_t>(c) * static_cast<std::size_t>(aw) *
                                  static_cast<std::size_t>(ah);
@@ -148,16 +182,13 @@ ChannelMap compute_acf_channels(const imaging::Image& img, energy::CostCounter* 
   // aggregation indexes source rows directly; the (dy, dx) sum order matches
   // the clamped-access form this replaces bit for bit.
   const int iw = img.width();
-  simd::dispatch([&](auto isa) {
-    using F4 = typename decltype(isa)::F32;
-    for (int c = 0; c < 3; ++c) {
-      float* dst = plane(c);
-      const float* src = img.plane(img.channels() == 3 ? c : 0).data();
-      for (int y = 0; y < ah; ++y) {
-        acf_color_row<F4>(src, iw, y, aw, dst);
-      }
+  for (int c = 0; c < 3; ++c) {
+    float* dst = plane(c);
+    const float* src = img.plane(img.channels() == 3 ? c : 0).data();
+    for (int y = 0; y < ah; ++y) {
+      acf_color_row<F4>(src, iw, y, aw, dst);
     }
-  });
+  }
 
   // Gradient magnitude + 6 orientation channels, aggregated.
   const imaging::Gradients grads = imaging::compute_gradients(img);
@@ -167,14 +198,112 @@ ChannelMap compute_acf_channels(const imaging::Image& img, energy::CostCounter* 
   const float* ori_src = grads.orientation.plane(0).data();
   const std::ptrdiff_t plane_stride =
       static_cast<std::ptrdiff_t>(aw) * static_cast<std::ptrdiff_t>(ah);
-  simd::dispatch([&](auto isa) {
-    using F4 = typename decltype(isa)::F32;
-    for (int y = 0; y < ah; ++y) {
-      acf_gradient_row<F4>(mag_src, ori_src, iw, y, aw, ah, bin_width, kOrientations, plane(4),
-                           plane_stride, plane(3));
-    }
-  });
+  for (int y = 0; y < ah; ++y) {
+    acf_gradient_row<F4>(mag_src, ori_src, iw, y, aw, ah, bin_width, kOrientations, plane(4),
+                         plane_stride, plane(3));
+  }
+}
 
+template <class Isa>
+void AcfKernels<Isa>::scan(const AcfCascade& cascade, const float* map_data, std::size_t cw,
+                           int y_lo, int y_hi, int max_x, energy::CostCounter* cost,
+                           std::vector<AcfHit>& hits) {
+  using D2 = typename Isa::F64;
+  constexpr int K = D2::kLanes;
+  const std::size_t n_stumps = cascade.offset.size();
+  const std::size_t check_every = cascade.check_every;
+  const double reject_rhs = cascade.reject_rhs;
+  const std::size_t* stump_off = cascade.offset.data();
+  const double* stump_a = cascade.a.data();
+  const double* stump_na = cascade.na.data();
+  const double* stump_thr = cascade.thr.data();
+  const double* remaining_after = cascade.remaining_after.data();
+  double tmp[K];
+  std::size_t eval[K];
+  bool rejected[K];
+  for (int y0 = y_lo; y0 <= y_hi; ++y0) {
+    int x0 = 0;
+    for (; x0 + K <= max_x + 1; x0 += K) {
+      const std::size_t window_base =
+          static_cast<std::size_t>(y0) * cw + static_cast<std::size_t>(x0);
+      D2 s = D2::broadcast(0.0);
+      for (int l = 0; l < K; ++l) {
+        rejected[l] = false;
+        eval[l] = 0;
+      }
+      int active = K;
+      std::size_t until_check = check_every;
+      for (std::size_t k = 0; k < n_stumps; ++k) {
+        const D2 v = D2::load2f(map_data + stump_off[k] + window_base);
+        s = s + D2::select_gt(v, D2::broadcast(stump_thr[k]), D2::broadcast(stump_a[k]),
+                              D2::broadcast(stump_na[k]));
+        if (--until_check == 0) {
+          until_check = check_every;
+          s.store(tmp);
+          const double remaining = remaining_after[k];
+          for (int l = 0; l < K; ++l) {
+            if (!rejected[l] && tmp[l] + remaining < reject_rhs) {
+              rejected[l] = true;
+              eval[l] = k + 1;
+              --active;
+            }
+          }
+          if (active == 0) break;
+        }
+      }
+      s.store(tmp);
+      for (int l = 0; l < K; ++l) {
+        const std::size_t evaluated = rejected[l] ? eval[l] : n_stumps;
+        if (cost != nullptr) cost->add_classifier(2 * evaluated);
+        if (rejected[l] || tmp[l] <= cascade.score_floor) continue;
+        hits.push_back({x0 + l, y0, tmp[l]});
+      }
+    }
+    for (; x0 <= max_x; ++x0) {
+      const std::size_t window_base =
+          static_cast<std::size_t>(y0) * cw + static_cast<std::size_t>(x0);
+      double s = 0.0;
+      std::size_t evaluated = 0;
+      std::size_t until_check = check_every;
+      bool was_rejected = false;
+      for (std::size_t k = 0; k < n_stumps; ++k) {
+        const double v = static_cast<double>(map_data[stump_off[k] + window_base]);
+        s += (v > stump_thr[k]) ? stump_a[k] : stump_na[k];
+        ++evaluated;
+        if (--until_check == 0) {
+          until_check = check_every;
+          if (s + remaining_after[k] < reject_rhs) {
+            was_rejected = true;
+            break;
+          }
+        }
+      }
+      if (cost != nullptr) cost->add_classifier(2 * evaluated);
+      if (was_rejected || s <= cascade.score_floor) continue;
+      hits.push_back({x0, y0, s});
+    }
+  }
+}
+
+EECS_SIMD_TIER_KERNELS(AcfKernels);
+
+}  // namespace eecs::detect
+EECS_SIMD_TIER_END
+
+#if EECS_SIMD_TIER == 0
+namespace eecs::detect {
+
+ChannelMap compute_acf_channels(const imaging::Image& img, energy::CostCounter* cost) {
+  const int aw = img.width() / kAcfShrink;
+  const int ah = img.height() / kAcfShrink;
+  ChannelMap map;
+  map.width = aw;
+  map.height = ah;
+  map.data.assign(static_cast<std::size_t>(kAcfChannels) * static_cast<std::size_t>(aw) *
+                      static_cast<std::size_t>(ah),
+                  0.0f);
+  if (aw == 0 || ah == 0) return map;
+  simd::dispatch([&](auto isa) { AcfKernels<decltype(isa)>::channels(img, map); });
   if (cost != nullptr) {
     // One gradient pass plus one aggregation pass over all pixels.
     cost->add_pixels(2 * img.pixel_count());
@@ -257,49 +386,36 @@ std::vector<Detection> AcfDetector::run(FramePrecompute& pre, energy::CostCounte
     EECS_EXPECTS(channels.width == aw && channels.height == ah);
     // Each stump's (channel, cell) coordinates are fixed by its feature
     // index; resolve them to a flat offset into this scale's channel map once
-    // instead of div/mod per stump per window.
+    // instead of div/mod per stump per window. The per-stump constants and
+    // the cascade's `remaining` sequence (identical for every window, built
+    // with the same serial subtraction) are hoisted out of the scan too.
     const std::size_t cw = static_cast<std::size_t>(channels.width);
-    std::vector<std::size_t> stump_off(model_.stumps.size());
-    for (std::size_t k = 0; k < model_.stumps.size(); ++k) {
-      const int feature = model_.stumps[k].feature;
-      const int c = feature / (kAcfWindowX * kAcfWindowY);
-      const int rem = feature % (kAcfWindowX * kAcfWindowY);
+    const std::size_t n_stumps = model_.stumps.size();
+    AcfCascade cascade;
+    cascade.offset.resize(n_stumps);
+    cascade.a.resize(n_stumps);
+    cascade.na.resize(n_stumps);
+    cascade.thr.resize(n_stumps);
+    cascade.remaining_after.resize(n_stumps);
+    double r = total_alpha;
+    for (std::size_t k = 0; k < n_stumps; ++k) {
+      const Stump& st = model_.stumps[k];
+      const int c = st.feature / (kAcfWindowX * kAcfWindowY);
+      const int rem = st.feature % (kAcfWindowX * kAcfWindowY);
       const int cy = rem / kAcfWindowX;
       const int cx = rem % kAcfWindowX;
-      stump_off[k] = static_cast<std::size_t>(c) * cw * static_cast<std::size_t>(channels.height) +
-                     static_cast<std::size_t>(cy) * cw + static_cast<std::size_t>(cx);
+      cascade.offset[k] = static_cast<std::size_t>(c) * cw *
+                              static_cast<std::size_t>(channels.height) +
+                          static_cast<std::size_t>(cy) * cw + static_cast<std::size_t>(cx);
+      cascade.a[k] = static_cast<double>(st.alpha) * static_cast<double>(st.polarity);
+      cascade.na[k] = -cascade.a[k];
+      cascade.thr[k] = static_cast<double>(st.threshold);
+      r -= std::abs(static_cast<double>(st.alpha));
+      cascade.remaining_after[k] = r;
     }
-    const float* map_data = channels.data.data();
-    const std::size_t check_every = static_cast<std::size_t>(params_.cascade_check_every);
-    const std::size_t n_stumps = model_.stumps.size();
-    // Per-stump constants hoisted out of the scan, in the exact doubles the
-    // per-window loop produced: the signed weight a = double(alpha) *
-    // double(polarity) (its negation is bit-exact because IEEE multiply is
-    // sign-symmetric), the threshold widened (float compare == double compare
-    // of the exact conversions), and the cascade's `remaining` sequence —
-    // identical for every window, built with the same serial subtraction.
-    std::vector<double> stump_a(n_stumps), stump_na(n_stumps), stump_thr(n_stumps);
-    std::vector<double> remaining_after(n_stumps);
-    {
-      double r = total_alpha;
-      for (std::size_t k = 0; k < n_stumps; ++k) {
-        const Stump& st = model_.stumps[k];
-        stump_a[k] = static_cast<double>(st.alpha) * static_cast<double>(st.polarity);
-        stump_na[k] = -stump_a[k];
-        stump_thr[k] = static_cast<double>(st.threshold);
-        r -= std::abs(static_cast<double>(st.alpha));
-        remaining_after[k] = r;
-      }
-    }
-    const double reject_rhs = static_cast<double>(params_.cascade_margin) * total_alpha;
-    const auto emit = [&](int x0, int y0, double s) {
-      Detection d;
-      d.box = window_to_person_box({x0 * kAcfShrink / scale, y0 * kAcfShrink / scale,
-                                    kWindowWidth / scale, kWindowHeight / scale});
-      d.score = s;
-      d.probability = calibrated_probability(s);
-      candidates.push_back(d);
-    };
+    cascade.check_every = static_cast<std::size_t>(params_.cascade_check_every);
+    cascade.reject_rhs = static_cast<double>(params_.cascade_margin) * total_alpha;
+    cascade.score_floor = params_.score_floor;
     // Evaluate stumps directly against the channel map (no feature
     // materialization), with soft-cascade early rejection. Lanes run across
     // adjacent x0 anchors: window_base steps by 1 per lane, so every stump
@@ -309,77 +425,22 @@ std::vector<Detection> AcfDetector::run(FramePrecompute& pre, energy::CostCounte
     // running until all lanes are rejected — extra work, but the per-window
     // op counts the energy model charges are exact). Emission stays in
     // (y0, x0) order.
+    std::vector<AcfHit> hits;
     simd::dispatch([&](auto isa) {
-      using D2 = typename decltype(isa)::F64;
-      constexpr int K = D2::kLanes;
-      double tmp[K];
-      std::size_t eval[K];
-      bool rejected[K];
-      for (int y0 = anchors.lo; y0 <= anchors.hi; ++y0) {
-        int x0 = 0;
-        for (; x0 + K <= max_x + 1; x0 += K) {
-          const std::size_t window_base =
-              static_cast<std::size_t>(y0) * cw + static_cast<std::size_t>(x0);
-          D2 s = D2::broadcast(0.0);
-          for (int l = 0; l < K; ++l) {
-            rejected[l] = false;
-            eval[l] = 0;
-          }
-          int active = K;
-          std::size_t until_check = check_every;
-          for (std::size_t k = 0; k < n_stumps; ++k) {
-            const D2 v = D2::load2f(map_data + stump_off[k] + window_base);
-            s = s + D2::select_gt(v, D2::broadcast(stump_thr[k]), D2::broadcast(stump_a[k]),
-                                  D2::broadcast(stump_na[k]));
-            if (--until_check == 0) {
-              until_check = check_every;
-              s.store(tmp);
-              const double remaining = remaining_after[k];
-              for (int l = 0; l < K; ++l) {
-                if (!rejected[l] && tmp[l] + remaining < reject_rhs) {
-                  rejected[l] = true;
-                  eval[l] = k + 1;
-                  --active;
-                }
-              }
-              if (active == 0) break;
-            }
-          }
-          s.store(tmp);
-          for (int l = 0; l < K; ++l) {
-            const std::size_t evaluated = rejected[l] ? eval[l] : n_stumps;
-            if (cost != nullptr) cost->add_classifier(2 * evaluated);
-            if (rejected[l] || tmp[l] <= params_.score_floor) continue;
-            emit(x0 + l, y0, tmp[l]);
-          }
-        }
-        for (; x0 <= max_x; ++x0) {
-          const std::size_t window_base =
-              static_cast<std::size_t>(y0) * cw + static_cast<std::size_t>(x0);
-          double s = 0.0;
-          std::size_t evaluated = 0;
-          std::size_t until_check = check_every;
-          bool was_rejected = false;
-          for (std::size_t k = 0; k < n_stumps; ++k) {
-            const double v = static_cast<double>(map_data[stump_off[k] + window_base]);
-            s += (v > stump_thr[k]) ? stump_a[k] : stump_na[k];
-            ++evaluated;
-            if (--until_check == 0) {
-              until_check = check_every;
-              if (s + remaining_after[k] < reject_rhs) {
-                was_rejected = true;
-                break;
-              }
-            }
-          }
-          if (cost != nullptr) cost->add_classifier(2 * evaluated);
-          if (was_rejected || s <= params_.score_floor) continue;
-          emit(x0, y0, s);
-        }
-      }
+      AcfKernels<decltype(isa)>::scan(cascade, channels.data.data(), cw, anchors.lo, anchors.hi,
+                                      max_x, cost, hits);
     });
+    for (const AcfHit& hit : hits) {
+      Detection d;
+      d.box = window_to_person_box({hit.x0 * kAcfShrink / scale, hit.y0 * kAcfShrink / scale,
+                                    kWindowWidth / scale, kWindowHeight / scale});
+      d.score = hit.score;
+      d.probability = calibrated_probability(hit.score);
+      candidates.push_back(d);
+    }
   }
   return non_max_suppression(std::move(candidates), params_.nms_iou);
 }
 
 }  // namespace eecs::detect
+#endif  // EECS_SIMD_TIER == 0

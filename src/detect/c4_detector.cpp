@@ -9,6 +9,72 @@
 #include "detect/sweep_scheduler.hpp"
 #include "features/census.hpp"
 
+EECS_SIMD_TIER_BEGIN
+namespace eecs::detect {
+
+/// The census window scorer of one ISA tag; a tier section (common/simd.hpp
+/// "Kernel tiers").
+template <class Isa>
+struct C4Kernels {
+  /// Scores windows cell_x0 + j of anchor row cell_y0 into out[j] for whole
+  /// blocks of 2 * kLanes windows, j < count, over a grid of cells_x cells
+  /// per row (hist: kCensusBins floats per cell, sq_norm: one per cell).
+  /// Returns how many windows it scored; the caller scores the tail.
+  static int score_blocks(const float* hist, const float* sq_norm, int cells_x,
+                          const LinearModel& model, int cell_x0, int cell_y0, int count,
+                          float* out);
+};
+
+template <class Isa>
+int C4Kernels<Isa>::score_blocks(const float* hist, const float* sq_norm, int cells_x,
+                                 const LinearModel& model, int cell_x0, int cell_y0, int count,
+                                 float* out) {
+  using D2 = typename Isa::F64;
+  constexpr int K = D2::kLanes;
+  constexpr std::size_t kRowLen =
+      static_cast<std::size_t>(kCensusCellsX) * static_cast<std::size_t>(kCensusBins);
+  const auto scores_block = [&](int j) {
+    D2 r01 = D2::broadcast(0.0);
+    D2 r23 = D2::broadcast(0.0);
+    D2 q01 = D2::broadcast(0.0);
+    D2 q23 = D2::broadcast(0.0);
+    const float* w = model.weights.data();
+    for (int cy = 0; cy < kCensusCellsY; ++cy) {
+      const std::size_t cell0 =
+          static_cast<std::size_t>(cell_y0 + cy) * static_cast<std::size_t>(cells_x) +
+          static_cast<std::size_t>(cell_x0 + j);
+      const float* h = hist + cell0 * static_cast<std::size_t>(kCensusBins);
+      constexpr std::size_t kBins = static_cast<std::size_t>(kCensusBins);
+      for (std::size_t i = 0; i < kRowLen; ++i) {
+        const D2 wi = D2::broadcast(static_cast<double>(w[i]));
+        r01 = r01 + wi * D2::gather2f(h + i, kBins);
+        r23 = r23 + wi * D2::gather2f(h + i + static_cast<std::size_t>(K) * kBins, kBins);
+      }
+      const float* sn = sq_norm + cell0;
+      for (int cx = 0; cx < kCensusCellsX; ++cx) {
+        q01 = q01 + D2::gather2f(sn + cx, 1);
+        q23 = q23 + D2::gather2f(sn + cx + K, 1);
+      }
+      w += kRowLen;
+    }
+    const double bias = model.bias;
+    for (int l = 0; l < K; ++l) {
+      out[j + l] = static_cast<float>(r01.extract(l) / (std::sqrt(q01.extract(l)) + 1e-9) + bias);
+      out[j + K + l] =
+          static_cast<float>(r23.extract(l) / (std::sqrt(q23.extract(l)) + 1e-9) + bias);
+    }
+  };
+  int j = 0;
+  for (; j + 2 * K <= count; j += 2 * K) scores_block(j);
+  return j;
+}
+
+EECS_SIMD_TIER_KERNELS(C4Kernels);
+
+}  // namespace eecs::detect
+EECS_SIMD_TIER_END
+
+#if EECS_SIMD_TIER == 0
 namespace eecs::detect {
 
 CensusCellGrid::CensusCellGrid(const imaging::Image& img, energy::CostCounter* cost) {
@@ -129,52 +195,17 @@ void CensusCellGrid::window_scores_row(const LinearModel& model, int cell_x0, in
   EECS_EXPECTS(static_cast<int>(model.weights.size()) ==
                kCensusCellsX * kCensusCellsY * kCensusBins);
 
-  constexpr std::size_t kRowLen =
-      static_cast<std::size_t>(kCensusCellsX) * static_cast<std::size_t>(kCensusBins);
   // Lanes run across adjacent windows (independent accumulator chains).
   // Window j+1's histogram row is window j's shifted by one cell (kCensusBins
   // floats), so the same weight stream feeds every window in the block; each
   // window's raw/sq chain keeps the exact per-window term order of
   // window_score, so results are bit-identical at every lane width.
+  int j = 0;
   simd::dispatch([&](auto isa) {
-    using D2 = typename decltype(isa)::F64;
-    constexpr int K = D2::kLanes;
-    const auto scores_block = [&](int j) {
-      D2 r01 = D2::broadcast(0.0);
-      D2 r23 = D2::broadcast(0.0);
-      D2 q01 = D2::broadcast(0.0);
-      D2 q23 = D2::broadcast(0.0);
-      const float* w = model.weights.data();
-      for (int cy = 0; cy < kCensusCellsY; ++cy) {
-        const std::size_t cell0 = static_cast<std::size_t>(cell_y0 + cy) *
-                                      static_cast<std::size_t>(cells_x_) +
-                                  static_cast<std::size_t>(cell_x0 + j);
-        const float* h = hist_.data() + cell0 * static_cast<std::size_t>(kCensusBins);
-        constexpr std::size_t kBins = static_cast<std::size_t>(kCensusBins);
-        for (std::size_t i = 0; i < kRowLen; ++i) {
-          const D2 wi = D2::broadcast(static_cast<double>(w[i]));
-          r01 = r01 + wi * D2::gather2f(h + i, kBins);
-          r23 = r23 + wi * D2::gather2f(h + i + static_cast<std::size_t>(K) * kBins, kBins);
-        }
-        const float* sn = sq_norm_.data() + cell0;
-        for (int cx = 0; cx < kCensusCellsX; ++cx) {
-          q01 = q01 + D2::gather2f(sn + cx, 1);
-          q23 = q23 + D2::gather2f(sn + cx + K, 1);
-        }
-        w += kRowLen;
-      }
-      const double bias = model.bias;
-      for (int l = 0; l < K; ++l) {
-        out[j + l] =
-            static_cast<float>(r01.extract(l) / (std::sqrt(q01.extract(l)) + 1e-9) + bias);
-        out[j + K + l] =
-            static_cast<float>(r23.extract(l) / (std::sqrt(q23.extract(l)) + 1e-9) + bias);
-      }
-    };
-    int j = 0;
-    for (; j + 2 * K <= count; j += 2 * K) scores_block(j);
-    for (; j < count; ++j) out[j] = window_score(model, cell_x0 + j, cell_y0, nullptr);
+    j = C4Kernels<decltype(isa)>::score_blocks(hist_.data(), sq_norm_.data(), cells_x_, model,
+                                               cell_x0, cell_y0, count, out);
   });
+  for (; j < count; ++j) out[j] = window_score(model, cell_x0 + j, cell_y0, nullptr);
   if (cost != nullptr && count > 0) {
     cost->add_classifier(static_cast<std::uint64_t>(count) *
                          static_cast<std::uint64_t>(kCensusCellsX * kCensusCellsY * kCensusBins));
@@ -309,3 +340,4 @@ std::vector<Detection> C4Detector::run(FramePrecompute& pre, energy::CostCounter
 }
 
 }  // namespace eecs::detect
+#endif  // EECS_SIMD_TIER == 0

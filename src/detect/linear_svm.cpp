@@ -6,17 +6,26 @@
 #include "common/contracts.hpp"
 #include "common/simd.hpp"
 
+EECS_SIMD_TIER_BEGIN
 namespace eecs::detect {
 
-namespace {
+/// The Pegasos update of one ISA tag; a tier section (common/simd.hpp
+/// "Kernel tiers").
+template <class Isa>
+struct SvmKernels {
+  /// Elementwise Pegasos step: w *= decay, then (inside the margin)
+  /// w += step*x. Both loops are pure elementwise float ops — lane-blocked
+  /// with no reassociation, so scalar and SIMD agree bit for bit. The margin
+  /// dot product stays scalar in the caller: it is a single serial double
+  /// chain.
+  static void pegasos_step(float* w, const float* x, std::size_t dim, float decay, bool update,
+                           float step);
+};
 
-/// Elementwise Pegasos step: w *= decay, then (inside the margin) w += step*x.
-/// Both loops are pure elementwise float ops — lane-blocked with no
-/// reassociation, so scalar and SIMD agree bit for bit. The margin dot product
-/// stays scalar in the caller: it is a single serial double chain.
-template <class F4>
-void pegasos_step(float* w, const float* x, std::size_t dim, float decay, bool update,
-                  float step) {
+template <class Isa>
+void SvmKernels<Isa>::pegasos_step(float* w, const float* x, std::size_t dim, float decay,
+                                   bool update, float step) {
+  using F4 = typename Isa::F32;
   const F4 dv = F4::broadcast(decay);
   const F4 sv = F4::broadcast(step);
   std::size_t d = 0;
@@ -33,7 +42,13 @@ void pegasos_step(float* w, const float* x, std::size_t dim, float decay, bool u
   }
 }
 
-}  // namespace
+EECS_SIMD_TIER_KERNELS(SvmKernels);
+
+}  // namespace eecs::detect
+EECS_SIMD_TIER_END
+
+#if EECS_SIMD_TIER == 0
+namespace eecs::detect {
 
 float LinearModel::score(std::span<const float> x) const {
   EECS_EXPECTS(x.size() == weights.size());
@@ -83,8 +98,8 @@ LinearModel train_linear_svm(const std::vector<std::vector<float>>& x, const std
       const bool update = margin < 1.0;
       const float step = update ? static_cast<float>(eta * yi) : 0.0f;
       simd::dispatch([&](auto isa) {
-        using F4 = typename decltype(isa)::F32;
-        pegasos_step<F4>(model.weights.data(), xi.data(), dim, decay, update, step);
+        SvmKernels<decltype(isa)>::pegasos_step(model.weights.data(), xi.data(), dim, decay,
+                                                update, step);
       });
       ++t;
     }
@@ -112,3 +127,4 @@ LinearModel train_linear_svm(const std::vector<std::vector<float>>& x, const std
 }
 
 }  // namespace eecs::detect
+#endif  // EECS_SIMD_TIER == 0

@@ -4,6 +4,7 @@
 
 #include "common/simd.hpp"
 
+EECS_SIMD_TIER_BEGIN
 namespace eecs::features {
 
 namespace {
@@ -52,6 +53,37 @@ void census_row(const float* row, const float* up, const float* dn, int w, float
 
 }  // namespace
 
+/// The census transform of one ISA tag; a tier section (common/simd.hpp
+/// "Kernel tiers").
+template <class Isa>
+struct CensusKernels {
+  /// Codes of every pixel of a w x h gray plane into `codes`.
+  static void transform(const float* src, int w, int h, float threshold, std::uint8_t* codes);
+};
+
+template <class Isa>
+void CensusKernels<Isa>::transform(const float* src, int w, int h, float threshold,
+                                   std::uint8_t* codes) {
+  using F4 = typename Isa::F32;
+  for (int y = 0; y < h; ++y) {
+    const float* row = src + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+    const float* up =
+        src + static_cast<std::size_t>(y > 0 ? y - 1 : 0) * static_cast<std::size_t>(w);
+    const float* dn =
+        src + static_cast<std::size_t>(y + 1 < h ? y + 1 : h - 1) * static_cast<std::size_t>(w);
+    std::uint8_t* out = codes + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+    census_row<F4>(row, up, dn, w, threshold, out);
+  }
+}
+
+EECS_SIMD_TIER_KERNELS(CensusKernels);
+
+}  // namespace eecs::features
+EECS_SIMD_TIER_END
+
+#if EECS_SIMD_TIER == 0
+namespace eecs::features {
+
 std::vector<std::uint8_t> census_transform(const imaging::Image& img, energy::CostCounter* cost,
                                            float threshold) {
   const imaging::Image gray = imaging::to_gray(img);
@@ -63,16 +95,7 @@ std::vector<std::uint8_t> census_transform(const imaging::Image& img, energy::Co
   // replaces; each comparison is independent, with edge pixels clamped.
   const float* src = gray.plane(0).data();
   simd::dispatch([&](auto isa) {
-    using F4 = typename decltype(isa)::F32;
-    for (int y = 0; y < h; ++y) {
-      const float* row = src + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-      const float* up =
-          src + static_cast<std::size_t>(y > 0 ? y - 1 : 0) * static_cast<std::size_t>(w);
-      const float* dn =
-          src + static_cast<std::size_t>(y + 1 < h ? y + 1 : h - 1) * static_cast<std::size_t>(w);
-      std::uint8_t* out = codes.data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-      census_row<F4>(row, up, dn, w, threshold, out);
-    }
+    CensusKernels<decltype(isa)>::transform(src, w, h, threshold, codes.data());
   });
   if (cost != nullptr) cost->add_pixels(gray.pixel_count() * 8);
   return codes;
@@ -118,3 +141,4 @@ std::vector<float> census_window_descriptor(const std::vector<std::uint8_t>& cod
 }
 
 }  // namespace eecs::features
+#endif  // EECS_SIMD_TIER == 0

@@ -9,6 +9,27 @@
 #include "imaging/filter.hpp"
 
 namespace eecs::features {
+namespace {
+
+/// Scatters one pixel's precomputed addends into its two neighboring
+/// orientation bins. Callers drain pixels of a cell in (dy, dx) order, so the
+/// accumulation order into each histogram — and therefore every float sum —
+/// matches the all-scalar loop bit for bit.
+inline void bin_scatter(float m, float fl, float a0, float a1, int bins, float* hist) {
+  if (m <= 0.0f) return;
+  int b0 = static_cast<int>(fl);
+  int b1 = b0 + 1;
+  if (b0 < 0) b0 += bins;
+  if (b1 >= bins) b1 -= bins;
+  hist[b0] += a0;
+  hist[b1] += a1;
+}
+
+}  // namespace
+}  // namespace eecs::features
+
+EECS_SIMD_TIER_BEGIN
+namespace eecs::features {
 
 namespace {
 
@@ -57,21 +78,77 @@ void bin_row_addends(const float* mag, const float* pos, const float* fl, int n,
   }
 }
 
-/// Scatters one pixel's precomputed addends into its two neighboring
-/// orientation bins. Callers drain pixels of a cell in (dy, dx) order, so the
-/// accumulation order into each histogram — and therefore every float sum —
-/// matches the all-scalar loop bit for bit.
-inline void bin_scatter(float m, float fl, float a0, float a1, int bins, std::span<float> hist) {
-  if (m <= 0.0f) return;
-  int b0 = static_cast<int>(fl);
-  int b1 = b0 + 1;
-  if (b0 < 0) b0 += bins;
-  if (b1 >= bins) b1 -= bins;
-  hist[static_cast<std::size_t>(b0)] += a0;
-  hist[static_cast<std::size_t>(b1)] += a1;
+}  // namespace
+
+/// HOG cell binning of one ISA tag; a tier section (common/simd.hpp "Kernel
+/// tiers").
+template <class Isa>
+struct HogKernels {
+  /// Bins the gradients of the cells_x x cells_y cells of `gray` into the
+  /// zeroed, contiguous (cy, cx, bin) histograms at `hists`.
+  static void bin_cells(const imaging::Image& gray, const HogParams& params, int cells_x,
+                        int cells_y, float* hists);
+};
+
+template <class Isa>
+void HogKernels<Isa>::bin_cells(const imaging::Image& gray, const HogParams& params, int cells_x,
+                                int cells_y, float* hists) {
+  using F4 = typename Isa::F32;
+  const float bin_width = std::numbers::pi_v<float> / static_cast<float>(params.bins);
+  const int img_w = gray.width();
+  const std::size_t bins = static_cast<std::size_t>(params.bins);
+  // Cell rows are independent (each cell bins only its own pixels into its
+  // own histogram), so they partition across the pool bit-identically.
+  common::parallel_for(
+      static_cast<std::size_t>(cells_y), 8, [&](std::size_t cy0, std::size_t cy1) {
+        // Gradients are streamed one pixel row at a time through an
+        // L1-resident scratch (imaging::gradient_band) instead of whole
+        // magnitude/orientation planes — per-pixel values are bit-identical
+        // by that function's contract. Bin positions are then computed a
+        // whole image row at a time (full lane width) and scattered per
+        // cell. Interleaving dy across cells is fine: each cell's histogram
+        // still receives its own pixels in (dy, dx) ascending order, the
+        // same sequence the per-cell loop produced, so every bin sum is
+        // bit-identical.
+        const int row_px = cells_x * params.cell_size;
+        const std::size_t band = static_cast<std::size_t>(params.cell_size);
+        std::vector<float> mag(band * static_cast<std::size_t>(img_w));
+        std::vector<float> ori(band * static_cast<std::size_t>(img_w));
+        std::vector<float> pos(static_cast<std::size_t>(row_px));
+        std::vector<float> fl(static_cast<std::size_t>(row_px));
+        std::vector<float> a0(static_cast<std::size_t>(row_px));
+        std::vector<float> a1(static_cast<std::size_t>(row_px));
+        for (int cy = static_cast<int>(cy0); cy < static_cast<int>(cy1); ++cy) {
+          const int y0 = cy * params.cell_size;
+          imaging::gradient_band(gray, y0, y0 + params.cell_size, mag.data(), ori.data());
+          float* row_hists = hists + static_cast<std::size_t>(cy) *
+                                         static_cast<std::size_t>(cells_x) * bins;
+          for (int dy = 0; dy < params.cell_size; ++dy) {
+            const std::size_t base =
+                static_cast<std::size_t>(dy) * static_cast<std::size_t>(img_w);
+            bin_row_positions<F4>(ori.data() + base, row_px, bin_width, pos.data(), fl.data());
+            bin_row_addends<F4>(mag.data() + base, pos.data(), fl.data(), row_px, a0.data(),
+                                a1.data());
+            for (int cx = 0; cx < cells_x; ++cx) {
+              float* hist = row_hists + static_cast<std::size_t>(cx) * bins;
+              const int x0 = cx * params.cell_size;
+              for (int dx = 0; dx < params.cell_size; ++dx) {
+                const std::size_t x = static_cast<std::size_t>(x0 + dx);
+                bin_scatter(mag[base + x], fl[x], a0[x], a1[x], params.bins, hist);
+              }
+            }
+          }
+        }
+      });
 }
 
-}  // namespace
+EECS_SIMD_TIER_KERNELS(HogKernels);
+
+}  // namespace eecs::features
+EECS_SIMD_TIER_END
+
+#if EECS_SIMD_TIER == 0
+namespace eecs::features {
 
 HogGrid::HogGrid(int cells_x, int cells_y, int bins)
     : cells_x_(cells_x),
@@ -109,53 +186,14 @@ HogGrid compute_hog_grid(const imaging::Image& img, const HogParams& params,
   const int cells_y = img.height() / params.cell_size;
   HogGrid grid(cells_x, cells_y, params.bins);
 
-  const float bin_width = std::numbers::pi_v<float> / static_cast<float>(params.bins);
-  const int img_w = img.width();
-  // Cell rows are independent (each cell bins only its own pixels into its
-  // own histogram), so they partition across the pool bit-identically. Within
-  // a cell the soft-assignment arithmetic is lane-blocked (see bin_cell_row).
-  simd::dispatch([&](auto isa) {
-    using F4 = typename decltype(isa)::F32;
-    common::parallel_for(
-        static_cast<std::size_t>(cells_y), 8, [&](std::size_t cy0, std::size_t cy1) {
-          // Gradients are streamed one pixel row at a time through an
-          // L1-resident scratch (imaging::gradient_band) instead of whole
-          // magnitude/orientation planes — per-pixel values are bit-identical
-          // by that function's contract. Bin positions are then computed a
-          // whole image row at a time (full lane width) and scattered per
-          // cell. Interleaving dy across cells is fine: each cell's histogram
-          // still receives its own pixels in (dy, dx) ascending order, the
-          // same sequence the per-cell loop produced, so every bin sum is
-          // bit-identical.
-          const int row_px = cells_x * params.cell_size;
-          const std::size_t band = static_cast<std::size_t>(params.cell_size);
-          std::vector<float> mag(band * static_cast<std::size_t>(img_w));
-          std::vector<float> ori(band * static_cast<std::size_t>(img_w));
-          std::vector<float> pos(static_cast<std::size_t>(row_px));
-          std::vector<float> fl(static_cast<std::size_t>(row_px));
-          std::vector<float> a0(static_cast<std::size_t>(row_px));
-          std::vector<float> a1(static_cast<std::size_t>(row_px));
-          for (int cy = static_cast<int>(cy0); cy < static_cast<int>(cy1); ++cy) {
-            const int y0 = cy * params.cell_size;
-            imaging::gradient_band(gray, y0, y0 + params.cell_size, mag.data(), ori.data());
-            for (int dy = 0; dy < params.cell_size; ++dy) {
-              const std::size_t base =
-                  static_cast<std::size_t>(dy) * static_cast<std::size_t>(img_w);
-              bin_row_positions<F4>(ori.data() + base, row_px, bin_width, pos.data(), fl.data());
-              bin_row_addends<F4>(mag.data() + base, pos.data(), fl.data(), row_px, a0.data(),
-                                  a1.data());
-              for (int cx = 0; cx < cells_x; ++cx) {
-                auto hist = grid.cell(cx, cy);
-                const int x0 = cx * params.cell_size;
-                for (int dx = 0; dx < params.cell_size; ++dx) {
-                  const std::size_t x = static_cast<std::size_t>(x0 + dx);
-                  bin_scatter(mag[base + x], fl[x], a0[x], a1[x], params.bins, hist);
-                }
-              }
-            }
-          }
-        });
-  });
+  // Within a cell row the soft-assignment arithmetic is lane-blocked (see
+  // bin_row_positions / bin_row_addends).
+  if (cells_x > 0 && cells_y > 0) {
+    float* hists = grid.cell(0, 0).data();
+    simd::dispatch([&](auto isa) {
+      HogKernels<decltype(isa)>::bin_cells(gray, params, cells_x, cells_y, hists);
+    });
+  }
   if (cost != nullptr) {
     // Gradient pass + binning pass over every pixel.
     cost->add_pixels(2 * img.pixel_count());
@@ -234,3 +272,4 @@ std::vector<float> global_descriptor(const imaging::Image& img, int pool_x, int 
 }
 
 }  // namespace eecs::features
+#endif  // EECS_SIMD_TIER == 0

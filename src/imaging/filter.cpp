@@ -8,6 +8,7 @@
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 
+EECS_SIMD_TIER_BEGIN
 namespace eecs::imaging {
 
 namespace {
@@ -18,8 +19,11 @@ namespace {
 constexpr std::size_t kRowGrain = 48;
 
 /// Parallel loop over every (channel, row) pair of a `channels` x `height`
-/// plane set.
-void parallel_rows(int channels, int height, const std::function<void(int, int)>& body) {
+/// plane set. The body is a template parameter, so each chunk's row loop
+/// calls it directly (inlined in the tier kernels) instead of through a
+/// type-erased call per row.
+template <class Body>
+void parallel_rows(int channels, int height, const Body& body) {
   common::parallel_for(static_cast<std::size_t>(channels) * static_cast<std::size_t>(height),
                        kRowGrain, [&](std::size_t begin, std::size_t end) {
                          for (std::size_t i = begin; i < end; ++i) {
@@ -83,36 +87,6 @@ void filter_row_vertical(const float* const* rows, int w, std::span<const float>
     for (int k = 0; k < taps; ++k) s += kernel[static_cast<std::size_t>(k)] * rows[k][x];
     dst[x] = s;
   }
-}
-
-/// Horizontal then vertical pass with an arbitrary normalized kernel.
-Image separable_filter(const Image& img, std::span<const float> kernel) {
-  const int radius = static_cast<int>(kernel.size()) / 2;
-  const int w = img.width();
-  const int h = img.height();
-  Image tmp = Image::uninitialized(w, h, img.channels());
-  Image out = Image::uninitialized(w, h, img.channels());
-  simd::dispatch([&](auto isa) {
-    using F4 = typename decltype(isa)::F32;
-    parallel_rows(img.channels(), h, [&](int c, int y) {
-      const float* row =
-          img.plane(c).data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-      float* dst = tmp.plane(c).data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-      filter_row_horizontal<F4>(row, w, kernel, radius, dst);
-    });
-    parallel_rows(img.channels(), h, [&](int c, int y) {
-      const float* src = tmp.plane(c).data();
-      std::vector<const float*> rows(kernel.size());
-      for (int k = 0; k < static_cast<int>(kernel.size()); ++k) {
-        const int yy = std::clamp(y + k - radius, 0, h - 1);
-        rows[static_cast<std::size_t>(k)] =
-            src + static_cast<std::size_t>(yy) * static_cast<std::size_t>(w);
-      }
-      float* dst = out.plane(c).data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-      filter_row_vertical<F4>(rows.data(), w, kernel, dst);
-    });
-  });
-  return out;
 }
 
 /// Magnitude and orientation of one row in a single fused pass: the gx/gy
@@ -202,6 +176,105 @@ void resize_row(const float* r0, const float* r1, const int* col0, const int* co
 
 }  // namespace
 
+/// The filter, gradient and resize kernels of one ISA tag; a tier section
+/// (common/simd.hpp "Kernel tiers").
+template <class Isa>
+struct FilterKernels {
+  /// Horizontal pass of every (channel, row) of img into tmp, then the
+  /// vertical pass of tmp into out, with a normalized odd-length kernel.
+  static void separable(const Image& img, std::span<const float> kernel, Image& tmp, Image& out);
+  /// Magnitude and orientation of rows [y0, y1) of a w x h gray plane,
+  /// written row-major from row 0 of mag/ori.
+  static void gradient_rows(const float* src, int w, int h, int y0, int y1, float* mag,
+                            float* ori);
+  /// Bilinear resize of img into out through per-column source indices and
+  /// weights (col0/col1/colw, out.width() entries) and the vertical scale.
+  static void resize(const Image& img, const int* col0, const int* col1, const float* colw,
+                     float sy, Image& out);
+};
+
+template <class Isa>
+void FilterKernels<Isa>::separable(const Image& img, std::span<const float> kernel, Image& tmp,
+                                   Image& out) {
+  using F4 = typename Isa::F32;
+  const int radius = static_cast<int>(kernel.size()) / 2;
+  const int w = img.width();
+  const int h = img.height();
+  parallel_rows(img.channels(), h, [&](int c, int y) {
+    const float* row =
+        img.plane(c).data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+    float* dst = tmp.plane(c).data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+    filter_row_horizontal<F4>(row, w, kernel, radius, dst);
+  });
+  parallel_rows(img.channels(), h, [&](int c, int y) {
+    const float* src = tmp.plane(c).data();
+    std::vector<const float*> rows(kernel.size());
+    for (int k = 0; k < static_cast<int>(kernel.size()); ++k) {
+      const int yy = std::clamp(y + k - radius, 0, h - 1);
+      rows[static_cast<std::size_t>(k)] =
+          src + static_cast<std::size_t>(yy) * static_cast<std::size_t>(w);
+    }
+    float* dst = out.plane(c).data() + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+    filter_row_vertical<F4>(rows.data(), w, kernel, dst);
+  });
+}
+
+template <class Isa>
+void FilterKernels<Isa>::gradient_rows(const float* src, int w, int h, int y0, int y1, float* mag,
+                                       float* ori) {
+  using F4 = typename Isa::F32;
+  for (int y = y0; y < y1; ++y) {
+    const float* row = src + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
+    const float* up =
+        src + static_cast<std::size_t>(y > 0 ? y - 1 : 0) * static_cast<std::size_t>(w);
+    const float* dn =
+        src + static_cast<std::size_t>(y + 1 < h ? y + 1 : h - 1) * static_cast<std::size_t>(w);
+    const std::size_t off = static_cast<std::size_t>(y - y0) * static_cast<std::size_t>(w);
+    gradient_row_fused<F4>(row, up, dn, w, mag + off, ori + off);
+  }
+}
+
+template <class Isa>
+void FilterKernels<Isa>::resize(const Image& img, const int* col0, const int* col1,
+                                const float* colw, float sy, Image& out) {
+  using F4 = typename Isa::F32;
+  const int ylim = img.height() - 1;
+  const int new_width = out.width();
+  parallel_rows(img.channels(), out.height(), [&](int c, int y) {
+    const float fy = (static_cast<float>(y) + 0.5f) * sy - 0.5f;
+    const int y0 = static_cast<int>(std::floor(fy));
+    const float wy = fy - static_cast<float>(y0);
+    const float* src = img.plane(c).data();
+    const float* r0 = src + static_cast<std::size_t>(std::clamp(y0, 0, ylim)) *
+                                static_cast<std::size_t>(img.width());
+    const float* r1 = src + static_cast<std::size_t>(std::clamp(y0 + 1, 0, ylim)) *
+                                static_cast<std::size_t>(img.width());
+    float* dst = out.plane(c).data() +
+                 static_cast<std::size_t>(y) * static_cast<std::size_t>(new_width);
+    resize_row<F4>(r0, r1, col0, col1, colw, new_width, wy, dst);
+  });
+}
+
+EECS_SIMD_TIER_KERNELS(FilterKernels);
+
+}  // namespace eecs::imaging
+EECS_SIMD_TIER_END
+
+#if EECS_SIMD_TIER == 0
+namespace eecs::imaging {
+
+namespace {
+
+/// Horizontal then vertical pass with an arbitrary normalized kernel.
+Image separable_filter(const Image& img, std::span<const float> kernel) {
+  Image tmp = Image::uninitialized(img.width(), img.height(), img.channels());
+  Image out = Image::uninitialized(img.width(), img.height(), img.channels());
+  simd::dispatch([&](auto isa) { FilterKernels<decltype(isa)>::separable(img, kernel, tmp, out); });
+  return out;
+}
+
+}  // namespace
+
 Image box_blur(const Image& img, int radius) {
   EECS_EXPECTS(radius >= 0);
   if (radius == 0 || img.empty()) return img;
@@ -229,44 +302,24 @@ Gradients compute_gradients(const Image& img) {
   const Image gray = to_gray(img);
   Gradients g{Image::uninitialized(gray.width(), gray.height(), 1),
               Image::uninitialized(gray.width(), gray.height(), 1)};
-  const int w = gray.width();
-  const int h = gray.height();
-  const float* src = gray.plane(0).data();
+  const std::size_t w = static_cast<std::size_t>(gray.width());
   float* mag = g.magnitude.plane(0).data();
   float* ori = g.orientation.plane(0).data();
-  simd::dispatch([&](auto isa) {
-    using F4 = typename decltype(isa)::F32;
-    parallel_rows(1, h, [&](int, int y) {
-      const float* row = src + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-      const float* up =
-          src + static_cast<std::size_t>(y > 0 ? y - 1 : 0) * static_cast<std::size_t>(w);
-      const float* dn =
-          src + static_cast<std::size_t>(y + 1 < h ? y + 1 : h - 1) * static_cast<std::size_t>(w);
-      float* mrow = mag + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-      float* orow = ori + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-      gradient_row_fused<F4>(row, up, dn, w, mrow, orow);
-    });
-  });
+  common::parallel_for(static_cast<std::size_t>(gray.height()), kRowGrain,
+                       [&](std::size_t y0, std::size_t y1) {
+                         gradient_band(gray, static_cast<int>(y0), static_cast<int>(y1),
+                                       mag + y0 * w, ori + y0 * w);
+                       });
   return g;
 }
 
 void gradient_band(const Image& gray, int y0, int y1, float* mag, float* ori) {
   EECS_EXPECTS(gray.channels() == 1);
   EECS_EXPECTS(y0 >= 0 && y0 <= y1 && y1 <= gray.height());
-  const int w = gray.width();
-  const int h = gray.height();
   const float* src = gray.plane(0).data();
   simd::dispatch([&](auto isa) {
-    using F4 = typename decltype(isa)::F32;
-    for (int y = y0; y < y1; ++y) {
-      const float* row = src + static_cast<std::size_t>(y) * static_cast<std::size_t>(w);
-      const float* up =
-          src + static_cast<std::size_t>(y > 0 ? y - 1 : 0) * static_cast<std::size_t>(w);
-      const float* dn =
-          src + static_cast<std::size_t>(y + 1 < h ? y + 1 : h - 1) * static_cast<std::size_t>(w);
-      const std::size_t off = static_cast<std::size_t>(y - y0) * static_cast<std::size_t>(w);
-      gradient_row_fused<F4>(row, up, dn, w, mag + off, ori + off);
-    }
+    FilterKernels<decltype(isa)>::gradient_rows(src, gray.width(), gray.height(), y0, y1, mag,
+                                                ori);
   });
 }
 
@@ -307,23 +360,9 @@ ResizePlan plan_resize(int src_width, int src_height, int new_width, int new_hei
 /// Resize one image through a shared plan (dims already validated).
 Image resize_with_plan(const Image& img, const ResizePlan& plan, int new_width, int new_height) {
   Image out = Image::uninitialized(new_width, new_height, img.channels());
-  const int ylim = img.height() - 1;
   simd::dispatch([&](auto isa) {
-    using F4 = typename decltype(isa)::F32;
-    parallel_rows(img.channels(), new_height, [&](int c, int y) {
-      const float fy = (static_cast<float>(y) + 0.5f) * plan.sy - 0.5f;
-      const int y0 = static_cast<int>(std::floor(fy));
-      const float wy = fy - static_cast<float>(y0);
-      const float* src = img.plane(c).data();
-      const float* r0 = src + static_cast<std::size_t>(std::clamp(y0, 0, ylim)) *
-                                  static_cast<std::size_t>(img.width());
-      const float* r1 = src + static_cast<std::size_t>(std::clamp(y0 + 1, 0, ylim)) *
-                                  static_cast<std::size_t>(img.width());
-      float* dst = out.plane(c).data() +
-                   static_cast<std::size_t>(y) * static_cast<std::size_t>(new_width);
-      resize_row<F4>(r0, r1, plan.col0.data(), plan.col1.data(), plan.colw.data(), new_width, wy,
-                     dst);
-    });
+    FilterKernels<decltype(isa)>::resize(img, plan.col0.data(), plan.col1.data(),
+                                         plan.colw.data(), plan.sy, out);
   });
   return out;
 }
@@ -378,3 +417,4 @@ Image block_downsample(const Image& img, int factor) {
 }
 
 }  // namespace eecs::imaging
+#endif  // EECS_SIMD_TIER == 0

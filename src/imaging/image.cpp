@@ -4,6 +4,39 @@
 
 #include "common/simd.hpp"
 
+EECS_SIMD_TIER_BEGIN
+namespace eecs::imaging {
+
+/// to_gray's pixel loop for one ISA tag; a tier section (common/simd.hpp
+/// "Kernel tiers"). Lane-blocked over pixels: each output is its own
+/// (0.299r + 0.587g) + 0.114b chain, identical to the scalar tail's
+/// expression.
+template <class Isa>
+struct GrayKernels {
+  static void gray(const float* r, const float* g, const float* b, float* o, std::size_t n);
+};
+
+template <class Isa>
+void GrayKernels<Isa>::gray(const float* r, const float* g, const float* b, float* o,
+                            std::size_t n) {
+  using F4 = typename Isa::F32;
+  const F4 cr = F4::broadcast(0.299f);
+  const F4 cg = F4::broadcast(0.587f);
+  const F4 cb = F4::broadcast(0.114f);
+  std::size_t i = 0;
+  for (; i + F4::kLanes <= n; i += F4::kLanes) {
+    const F4 v = cr * F4::load(r + i) + cg * F4::load(g + i) + cb * F4::load(b + i);
+    v.store(o + i);
+  }
+  for (; i < n; ++i) o[i] = 0.299f * r[i] + 0.587f * g[i] + 0.114f * b[i];
+}
+
+EECS_SIMD_TIER_KERNELS(GrayKernels);
+
+}  // namespace eecs::imaging
+EECS_SIMD_TIER_END
+
+#if EECS_SIMD_TIER == 0
 namespace eecs::imaging {
 
 Image::Image(int width, int height, int channels, Uninit)
@@ -90,22 +123,8 @@ Image to_gray(const Image& img) {
   const auto g = img.plane(1);
   const auto b = img.plane(2);
   auto o = out.plane(0);
-  // Lane-blocked over pixels: each output is its own (0.299r + 0.587g) +
-  // 0.114b chain, identical to the scalar tail's expression.
   simd::dispatch([&](auto isa) {
-    using F4 = typename decltype(isa)::F32;
-    const F4 cr = F4::broadcast(0.299f);
-    const F4 cg = F4::broadcast(0.587f);
-    const F4 cb = F4::broadcast(0.114f);
-    std::size_t i = 0;
-    for (; i + F4::kLanes <= o.size(); i += F4::kLanes) {
-      const F4 v = cr * F4::load(r.data() + i) + cg * F4::load(g.data() + i) +
-                   cb * F4::load(b.data() + i);
-      v.store(o.data() + i);
-    }
-    for (; i < o.size(); ++i) {
-      o[i] = 0.299f * r[i] + 0.587f * g[i] + 0.114f * b[i];
-    }
+    GrayKernels<decltype(isa)>::gray(r.data(), g.data(), b.data(), o.data(), o.size());
   });
   return out;
 }
@@ -125,3 +144,4 @@ float channel_mean(const Image& img, int c) {
 }
 
 }  // namespace eecs::imaging
+#endif  // EECS_SIMD_TIER == 0

@@ -5,6 +5,7 @@
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 
+EECS_SIMD_TIER_BEGIN
 namespace eecs::imaging {
 
 namespace {
@@ -62,6 +63,35 @@ void accumulate_columns(double* table, int height, std::size_t w1, std::size_t x
 
 }  // namespace
 
+/// The summed-area table passes of one ISA tag; a tier section
+/// (common/simd.hpp "Kernel tiers").
+template <class Isa>
+struct IntegralKernels {
+  /// Fills the (width+1) x (height+1) table (zeroed) from a width x height
+  /// plane.
+  static void build(const float* src, int width, int height, double* table);
+};
+
+template <class Isa>
+void IntegralKernels<Isa>::build(const float* src, int width, int height, double* table) {
+  using D2 = typename Isa::F64;
+  const std::size_t w1 = static_cast<std::size_t>(width + 1);
+  common::parallel_for(static_cast<std::size_t>(height), 64, [&](std::size_t y0, std::size_t y1) {
+    prefix_rows<D2>(src, width, w1, table, y0, y1);
+  });
+  common::parallel_for(static_cast<std::size_t>(width), 64, [&](std::size_t x0, std::size_t x1) {
+    accumulate_columns<D2>(table, height, w1, x0, x1);
+  });
+}
+
+EECS_SIMD_TIER_KERNELS(IntegralKernels);
+
+}  // namespace eecs::imaging
+EECS_SIMD_TIER_END
+
+#if EECS_SIMD_TIER == 0
+namespace eecs::imaging {
+
 IntegralImage::IntegralImage(const Image& img)
     : width_(img.width()),
       height_(img.height()),
@@ -71,18 +101,9 @@ IntegralImage::IntegralImage(const Image& img)
   // the horizontal prefix sums accumulate in x order per row, and the
   // vertical pass adds them in y order per column, so every table entry sees
   // the identical sequence of double additions as the single-threaded loop.
-  const std::size_t w1 = static_cast<std::size_t>(width_ + 1);
   const float* src = img.plane(0).data();
   simd::dispatch([&](auto isa) {
-    using D2 = typename decltype(isa)::F64;
-    common::parallel_for(static_cast<std::size_t>(height_), 64,
-                         [&](std::size_t y0, std::size_t y1) {
-                           prefix_rows<D2>(src, width_, w1, table_.data(), y0, y1);
-                         });
-    common::parallel_for(static_cast<std::size_t>(width_), 64,
-                         [&](std::size_t x0, std::size_t x1) {
-                           accumulate_columns<D2>(table_.data(), height_, w1, x0, x1);
-                         });
+    IntegralKernels<decltype(isa)>::build(src, width_, height_, table_.data());
   });
 }
 
@@ -106,3 +127,4 @@ double IntegralImage::rect_mean(int x0, int y0, int x1, int y1) const {
 }
 
 }  // namespace eecs::imaging
+#endif  // EECS_SIMD_TIER == 0

@@ -5,6 +5,7 @@
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 
+EECS_SIMD_TIER_BEGIN
 namespace eecs::linalg {
 
 namespace {
@@ -29,6 +30,65 @@ void axpy_row(double a, const double* x, double* y, std::size_t n) {
 }
 
 }  // namespace
+
+/// The matrix-product kernels of one ISA tag; a tier section
+/// (common/simd.hpp "Kernel tiers"). `out` arrives zeroed and sized.
+template <class Isa>
+struct MatrixKernels {
+  /// out = a * b.
+  static void multiply(const Matrix& a, const Matrix& b, Matrix& out);
+  /// out = a^T * b.
+  static void transpose_times(const Matrix& a, const Matrix& b, Matrix& out);
+};
+
+template <class Isa>
+void MatrixKernels<Isa>::multiply(const Matrix& a, const Matrix& b, Matrix& out) {
+  using D2 = typename Isa::F64;
+  const std::size_t n = static_cast<std::size_t>(b.cols());
+  const double* bdata = b.data().data();
+  double* odata = out.data().data();
+  common::parallel_for(static_cast<std::size_t>(a.rows()), kRowGrain,
+                       [&](std::size_t i0, std::size_t i1) {
+                         for (std::size_t i = i0; i < i1; ++i) {
+                           double* orow = odata + i * n;
+                           for (int k = 0; k < a.cols(); ++k) {
+                             const double aik = a(static_cast<int>(i), k);
+                             if (aik == 0.0) continue;
+                             axpy_row<D2>(aik, bdata + static_cast<std::size_t>(k) * n, orow, n);
+                           }
+                         }
+                       });
+}
+
+template <class Isa>
+void MatrixKernels<Isa>::transpose_times(const Matrix& a, const Matrix& b, Matrix& out) {
+  using D2 = typename Isa::F64;
+  // Output-row-major order (i outer, k inner) instead of the cache-friendlier
+  // k-outer walk, so each task owns its rows; per-entry accumulation still
+  // runs in increasing k, matching the serial result bit for bit.
+  const std::size_t n = static_cast<std::size_t>(b.cols());
+  const double* bdata = b.data().data();
+  double* odata = out.data().data();
+  common::parallel_for(static_cast<std::size_t>(a.cols()), kRowGrain,
+                       [&](std::size_t i0, std::size_t i1) {
+                         for (std::size_t i = i0; i < i1; ++i) {
+                           double* orow = odata + i * n;
+                           for (int k = 0; k < a.rows(); ++k) {
+                             const double aki = a(k, static_cast<int>(i));
+                             if (aki == 0.0) continue;
+                             axpy_row<D2>(aki, bdata + static_cast<std::size_t>(k) * n, orow, n);
+                           }
+                         }
+                       });
+}
+
+EECS_SIMD_TIER_KERNELS(MatrixKernels);
+
+}  // namespace eecs::linalg
+EECS_SIMD_TIER_END
+
+#if EECS_SIMD_TIER == 0
+namespace eecs::linalg {
 
 Matrix::Matrix(int rows, int cols)
     : rows_(rows),
@@ -145,45 +205,14 @@ Matrix operator*(double s, Matrix rhs) { return rhs *= s; }
 Matrix operator*(const Matrix& a, const Matrix& b) {
   EECS_EXPECTS(a.cols() == b.rows());
   Matrix out(a.rows(), b.cols());
-  const std::size_t n = static_cast<std::size_t>(b.cols());
-  simd::dispatch([&](auto isa) {
-    using D2 = typename decltype(isa)::F64;
-    common::parallel_for(static_cast<std::size_t>(a.rows()), kRowGrain,
-                         [&](std::size_t i0, std::size_t i1) {
-                           for (int i = static_cast<int>(i0); i < static_cast<int>(i1); ++i) {
-                             double* orow = out.row(i).data();
-                             for (int k = 0; k < a.cols(); ++k) {
-                               const double aik = a(i, k);
-                               if (aik == 0.0) continue;
-                               axpy_row<D2>(aik, b.row(k).data(), orow, n);
-                             }
-                           }
-                         });
-  });
+  simd::dispatch([&](auto isa) { MatrixKernels<decltype(isa)>::multiply(a, b, out); });
   return out;
 }
 
 Matrix transpose_times(const Matrix& a, const Matrix& b) {
   EECS_EXPECTS(a.rows() == b.rows());
   Matrix out(a.cols(), b.cols());
-  // Output-row-major order (i outer, k inner) instead of the cache-friendlier
-  // k-outer walk, so each task owns its rows; per-entry accumulation still
-  // runs in increasing k, matching the serial result bit for bit.
-  const std::size_t n = static_cast<std::size_t>(b.cols());
-  simd::dispatch([&](auto isa) {
-    using D2 = typename decltype(isa)::F64;
-    common::parallel_for(static_cast<std::size_t>(a.cols()), kRowGrain,
-                         [&](std::size_t i0, std::size_t i1) {
-                           for (int i = static_cast<int>(i0); i < static_cast<int>(i1); ++i) {
-                             double* orow = out.row(i).data();
-                             for (int k = 0; k < a.rows(); ++k) {
-                               const double aki = a(k, i);
-                               if (aki == 0.0) continue;
-                               axpy_row<D2>(aki, b.row(k).data(), orow, n);
-                             }
-                           }
-                         });
-  });
+  simd::dispatch([&](auto isa) { MatrixKernels<decltype(isa)>::transpose_times(a, b, out); });
   return out;
 }
 
@@ -218,3 +247,4 @@ double max_abs_diff(const Matrix& a, const Matrix& b) {
 }
 
 }  // namespace eecs::linalg
+#endif  // EECS_SIMD_TIER == 0

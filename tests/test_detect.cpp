@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 
+#include "common/simd.hpp"
 #include "detect/acf_detector.hpp"
 #include "detect/batch_precompute.hpp"
 #include "detect/boosting.hpp"
@@ -274,9 +275,11 @@ imaging::Image golden_frame(int dataset) {
   return frame;
 }
 
-void expect_golden(int dataset) {
-  const auto& detectors = trained_bank();
-  const imaging::Image frame = golden_frame(dataset);
+/// Cached and naive detection of one golden frame at the current SIMD mode,
+/// both checked against the golden lists.
+void expect_golden_at_current_simd(int dataset,
+                                   const std::vector<std::unique_ptr<Detector>>& detectors,
+                                   const imaging::Image& frame) {
   // One cache across all four detectors, exercising cross-detector reuse
   // (HOG and LSVM share block grids at coinciding pyramid levels).
   FramePrecompute shared(frame);
@@ -308,6 +311,19 @@ void expect_golden(int dataset) {
       EXPECT_EQ(ref[i].score, want[i].score);
       EXPECT_EQ(ref[i].probability, want[i].probability);
     }
+  }
+}
+
+void expect_golden(int dataset) {
+  const auto& detectors = trained_bank();
+  const imaging::Image frame = golden_frame(dataset);
+  // The ambient SIMD mode (-1 leaves it untouched), then every native width
+  // forced: one binary proves each tier it runs bit-identical to the naive
+  // path and the goldens (a width the CPU lacks runs its emulation twin).
+  for (int mode : {-1, 128, 256, 512}) {
+    SCOPED_TRACE("simd mode " + std::to_string(mode));
+    const simd::ScopedSimd scoped(mode);
+    expect_golden_at_current_simd(dataset, detectors, frame);
   }
 }
 

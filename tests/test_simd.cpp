@@ -18,21 +18,22 @@
 #include "imaging/image.hpp"
 #include "imaging/integral.hpp"
 #include "linalg/matrix.hpp"
+#include "simd_pack_checks.hpp"
 
 namespace eecs {
 namespace {
 
-// Values chosen to stress rounding edges: negatives, non-representable
-// fractions, exact powers of two, halfway cases for floor, and zeros.
-const float kTrickyF[] = {0.0f,  -0.0f, 1.0f,      -1.0f,   0.1f,     -0.1f,  2.5f,
-                          -2.5f, 3.0f,  -3.0f,     1e-8f,   -1e-8f,   1e8f,   -1e8f,
-                          0.3f,  7.25f, -1048576.0f, 1048575.5f, 0.5f, -0.5f, 1.5f};
+using simd_checks::expect_bits_eq;
+using simd_checks::kAtanSpecialBits;
+using simd_checks::kTrickyF;
 
-template <class T>
-void expect_bits_eq(std::span<const T> a, std::span<const T> b) {
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0);
-}
+// The 128-bit native tag; a scalar-only build has none, and its F32x4 is
+// the emulation.
+#if defined(EECS_SIMD_SSE2) || defined(EECS_SIMD_NEON)
+using Native128 = simd::IsaNative128;
+#else
+using Native128 = simd::IsaEmul128;
+#endif
 
 /// Runs `f` under the given SIMD mode and returns its result.
 template <class F>
@@ -166,9 +167,11 @@ TEST(SimdSwitch, ScopedOverrideRestoresPreviousState) {
     EXPECT_STREQ(simd::dispatch_name(), "scalar");
     {
       const simd::ScopedSimd on(1);
-      EXPECT_TRUE(simd::enabled());
+      // Native exactly when the build has a native backend (an
+      // EECS_SIMD_OFF build has none, so auto stays on the emulation).
+      EXPECT_EQ(simd::enabled(), simd::kNativeBackend);
       if (simd::kNativeBackend) {
-        EXPECT_STREQ(simd::dispatch_name(), simd::isa_name());
+        EXPECT_TRUE(simd::native_available(simd::dispatch_width()));
       }
     }
     EXPECT_FALSE(simd::enabled());
@@ -181,6 +184,44 @@ TEST(SimdSwitch, NegativeModeLeavesSwitchUntouched) {
   const simd::ScopedSimd noop(-1);
   EXPECT_FALSE(simd::enabled());
 }
+
+// ---------------------------------------------------------------------------
+// Runtime tier selection: one default build carries the AVX2 and AVX-512
+// tiers and picks them by CPUID. The expectations below come straight from
+// the CPU, not from the dispatcher. A tier is compiled for its whole
+// x86-64-v3/v4 level, so it needs every feature of the level (AVX2 or
+// AVX-512F alone is not enough).
+// ---------------------------------------------------------------------------
+
+#if defined(EECS_SIMD_X86_TIERS)
+
+TEST(SimdTiers, ForEachIsaYieldsEveryTierTheCpuRuns) {
+  std::vector<int> native;
+  simd::for_each_isa([&](auto isa) {
+    if (decltype(isa)::kIsNative) native.push_back(decltype(isa)::kWidthBits);
+  });
+  std::vector<int> want = {128};
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("x86-64-v3")) want.push_back(256);
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("x86-64-v4")) {
+    want.push_back(512);
+  }
+  EXPECT_EQ(native, want);
+  EXPECT_STREQ(simd::isa_name(), "avx512");  // Widest tier compiled in.
+}
+
+TEST(SimdTiers, AutoResolvesToWidestSupportedTier) {
+  const char* want = "sse2";
+  if (__builtin_cpu_supports("x86-64-v3")) want = "avx2";
+  if (__builtin_cpu_supports("x86-64-v4")) want = "avx512";
+  const simd::ScopedSimd on(1);  // EECS_SIMD=auto / 1.
+  EXPECT_STREQ(simd::dispatch_name(), want);
+  EXPECT_TRUE(simd::enabled());
+  const simd::ScopedSimd narrow(128);
+  EXPECT_STREQ(simd::dispatch_name(), "sse2");
+  EXPECT_EQ(simd::dispatch_width(), 128);
+}
+
+#endif  // EECS_SIMD_X86_TIERS
 
 // ---------------------------------------------------------------------------
 // Kernel A/B: every ported kernel must produce bit-identical output with
@@ -399,18 +440,6 @@ TEST(SimdKernels, LinearSvmTrainingBitIdentical) {
   expect_bits_eq<float>(on.weights, off.weights);
 }
 
-// Operand bit patterns that exercise every atan2f path: signed zeros,
-// denormals, infinities, quiet/signalling NaNs, each atanf reduction
-// boundary with its neighbors, and the exponent-gap guard thresholds.
-constexpr std::uint32_t kAtanSpecialBits[] = {
-    0x00000000u, 0x80000000u, 0x00000001u, 0x80000001u, 0x007FFFFFu, 0x807FFFFFu,
-    0x00800000u, 0x3F800000u, 0xBF800000u, 0x7F7FFFFFu, 0xFF7FFFFFu, 0x7F800000u,
-    0xFF800000u, 0x7FC00000u, 0xFFC00001u, 0x7F800001u, 0x7FFFFFFFu, 0x30FFFFFFu,
-    0x31000000u, 0x3EDFFFFFu, 0x3EE00000u, 0x3F300000u, 0x3F980000u, 0x401C0000u,
-    0x4BFFFFFFu, 0x4C000000u, 0x4C800000u, 0x5DFFFFFFu, 0x5E000000u, 0x0DA24260u,
-    0x40490FDBu, 0xC0490FDBu, 0x3FC90FDBu, 0x61800000u, 0xE1800000u,
-};
-
 // Anchor values computed by glibc 2.36's fdlibm atan2f (the libm the
 // committed goldens were recorded against). These hold on EVERY host — they
 // pin the vendored replica itself, independent of the host libm.
@@ -462,73 +491,24 @@ TEST(Atan2Portable, MatchesHostLibmWhenHostIsFdlibm) {
   }
 }
 
-// The pack kernel must reproduce the scalar replica in every lane, in both
-// the native and emulated backends, including the special-operand fallback.
-template <class F4>
-void expect_pack_matches_scalar(int random_iters = 100000) {
-  constexpr int W = F4::kLanes;
-  const auto check = [](const float* ys, const float* xs) {
-    float out[W];
-    simd::atan2f_pack<F4>(F4::load(ys), F4::load(xs)).store(out);
-    for (int i = 0; i < W; ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i]),
-                std::bit_cast<std::uint32_t>(simd::atan2f_portable(ys[i], xs[i])))
-          << "lane " << i << " y=" << std::hexfloat << ys[i] << " x=" << xs[i];
-    }
-  };
-  Rng rng(78);
-  const auto rand_bits = [&] {
-    return std::bit_cast<float>(static_cast<std::uint32_t>(rng.next_u64() >> 32));
-  };
-  for (std::uint32_t by : kAtanSpecialBits) {
-    for (std::uint32_t bx : kAtanSpecialBits) {
-      // Specials mixed with random lanes: the fallback must patch exactly
-      // the special lanes and leave the vector lanes untouched.
-      float ys[W];
-      float xs[W];
-      for (int j = 0; j < W; ++j) {
-        const bool special = j == 0 || j == W - 1;
-        ys[j] = special ? std::bit_cast<float>(by) : rand_bits();
-        xs[j] = special ? std::bit_cast<float>(bx) : rand_bits();
-      }
-      check(ys, xs);
-    }
-  }
-  for (int i = 0; i < random_iters; ++i) {
-    float ys[W];
-    float xs[W];
-    for (int j = 0; j < W; ++j) {
-      ys[j] = rand_bits();
-      xs[j] = rand_bits();
-    }
-    check(ys, xs);
-  }
-  // Gradient-realistic small magnitudes (the hot kernel's actual operands).
-  for (int i = 0; i < random_iters; ++i) {
-    float ys[W];
-    float xs[W];
-    for (int j = 0; j < W; ++j) {
-      ys[j] = static_cast<float>(rng.uniform() * 4.0 - 2.0);
-      xs[j] = static_cast<float>(rng.uniform() * 4.0 - 2.0);
-    }
-    check(ys, xs);
-  }
+TEST(Atan2Pack, NativeMatchesScalarReplica) {
+  simd_checks::PackChecks<Native128>::atan2_matches_scalar(100000);
 }
 
-TEST(Atan2Pack, NativeMatchesScalarReplica) { expect_pack_matches_scalar<simd::F32x4>(); }
-
-TEST(Atan2Pack, EmulationMatchesScalarReplica) { expect_pack_matches_scalar<simd::F32x4Emul>(); }
+TEST(Atan2Pack, EmulationMatchesScalarReplica) {
+  simd_checks::PackChecks<simd::IsaEmul128>::atan2_matches_scalar(100000);
+}
 
 // Every wider backend (native when compiled in + CPU-supported, and the
 // always-present emulation twins) must agree with the scalar replica on
 // every lane; the 128-bit pair is pinned by the two tests above.
 TEST(Atan2Pack, WidePacksMatchScalarReplica) {
   simd::for_each_isa([](auto isa) {
-    using F = typename decltype(isa)::F32;
-    if constexpr (F::kLanes > 4) {
-      SCOPED_TRACE(testing::Message() << "lanes=" << F::kLanes
-                                      << " native=" << decltype(isa)::kIsNative);
-      expect_pack_matches_scalar<F>(25000);
+    using Isa = decltype(isa);
+    if constexpr (Isa::kWidthBits > 128) {
+      SCOPED_TRACE(testing::Message() << "width=" << Isa::kWidthBits
+                                      << " native=" << Isa::kIsNative);
+      simd_checks::PackChecks<Isa>::atan2_matches_scalar(25000);
     }
   });
 }
@@ -687,64 +667,9 @@ TEST(SimdWidths, ResizeBatchBitIdenticalToPerImageResize) {
 // same-width emulation twin, on the rounding-edge value grid.
 TEST(SimdPacks, AllIsaF32OpsMatchSameWidthEmulation) {
   simd::for_each_isa([](auto isa) {
-    using F = typename decltype(isa)::F32;
-    using E = simd::F32xEmul<F::kLanes>;
-    constexpr int W = F::kLanes;
-    SCOPED_TRACE(testing::Message() << "lanes=" << W << " native=" << decltype(isa)::kIsNative);
-    constexpr int N = static_cast<int>(std::size(kTrickyF));
-    for (int base = 0; base < N; ++base) {
-      float va[W];
-      float vb[W];
-      for (int j = 0; j < W; ++j) {
-        va[j] = kTrickyF[(base + j) % N];
-        vb[j] = kTrickyF[(base + 2 * j + 1) % N];
-      }
-      const F na = F::load(va);
-      const F nb = F::load(vb);
-      const E ea = E::load(va);
-      const E eb = E::load(vb);
-      float n[W];
-      float e[W];
-      const auto check = [&](F nv, E ev) {
-        nv.store(n);
-        ev.store(e);
-        expect_bits_eq<float>(n, e);
-      };
-      check(na + nb, ea + eb);
-      check(na - nb, ea - eb);
-      check(na * nb, ea * eb);
-      check(na / nb, ea / eb);
-      check(F::min(na, nb), E::min(ea, eb));
-      check(F::max(na, nb), E::max(ea, eb));
-      check(F::floor(na), E::floor(ea));
-      check(F::abs(na), E::abs(ea));
-      check(F::select(F::gt(na, nb), na, nb), E::select(E::gt(ea, eb), ea, eb));
-      for (int j = 0; j < W; ++j) {
-        EXPECT_EQ(F::gt(na, nb).extract(j), E::gt(ea, eb).extract(j));
-        EXPECT_EQ(F::lt(na, nb).extract(j), E::lt(ea, eb).extract(j));
-        EXPECT_EQ(F::ge(na, nb).extract(j), E::ge(ea, eb).extract(j));
-      }
-    }
-    // Gathers: indexed, strided, and the float->double strided form.
-    float src[4 * W + 3];
-    for (int i = 0; i < 4 * W + 3; ++i) src[i] = kTrickyF[i % N];
-    int idx[W];
-    for (int j = 0; j < W; ++j) idx[j] = (j * 3 + 1) % (4 * W);
-    float n[W];
-    float e[W];
-    F::gather(src, idx).store(n);
-    E::gather(src, idx).store(e);
-    expect_bits_eq<float>(n, e);
-    F::gather_stride(src, 3).store(n);
-    E::gather_stride(src, 3).store(e);
-    expect_bits_eq<float>(n, e);
-    using D = typename decltype(isa)::F64;
-    using ED = simd::F64xEmul<D::kLanes>;
-    double dn[D::kLanes];
-    double de[D::kLanes];
-    D::gather2f(src, 3).store(dn);
-    ED::gather2f(src, 3).store(de);
-    expect_bits_eq<double>(dn, de);
+    using Isa = decltype(isa);
+    SCOPED_TRACE(testing::Message() << "width=" << Isa::kWidthBits << " native=" << Isa::kIsNative);
+    simd_checks::PackChecks<Isa>::ops_match_emulation();
   });
 }
 

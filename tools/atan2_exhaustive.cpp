@@ -19,7 +19,9 @@
 // which mode it detected from a probe set before sweeping.
 //
 // Not registered as a test: pass 1 is ~2 minutes of single-core work. Run it
-// whenever common/atan2.hpp or the pack ops under it change.
+// whenever common/atan2.hpp or the pack ops under it change; CI's release job
+// runs it on the default binary, whose pack sweep covers every SIMD tier the
+// runner's CPU supports.
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -27,13 +29,15 @@
 #include <cstring>
 
 #include "common/atan2.hpp"
+#include "common/simd.hpp"
 
 namespace {
 
-std::uint64_t lcg_state = 0x9E3779B97F4A7C15ull;
-std::uint32_t next32() {
-  lcg_state = lcg_state * 6364136223846793005ull + 1442695040888963407ull;
-  return static_cast<std::uint32_t>(lcg_state >> 32);
+/// Shared LCG stream: the pack sweeps of every tier and the pair sweep draw
+/// from one sequence.
+std::uint32_t next32(std::uint64_t& state) {
+  state = state * 6364136223846793005ull + 1442695040888963407ull;
+  return static_cast<std::uint32_t>(state >> 32);
 }
 
 float from_bits(std::uint32_t b) { return std::bit_cast<float>(b); }
@@ -55,23 +59,22 @@ constexpr std::uint32_t kSpecial[] = {
 
 bool bits_equal_or_both_nan_payload(float a, float b) { return to_bits(a) == to_bits(b); }
 
-long check_pair(float y, float x, long budget, const char* tag, float (*ref)(float, float)) {
-  const float mine = eecs::simd::atan2f_portable(y, x);
-  const float want = ref(y, x);
-  if (!bits_equal_or_both_nan_payload(mine, want)) {
-    if (budget < 10) {
-      std::printf("  [%s] MISMATCH y=%08x x=%08x replica=%08x ref=%08x\n", tag, to_bits(y),
-                  to_bits(x), to_bits(mine), to_bits(want));
-    }
-    return 1;
-  }
-  return 0;
-}
+}  // namespace
 
-float libm_atan2f(float y, float x) { return std::atan2(y, x); }
+// The pack sweep runs the native packs, so it is compiled once per x86 tier
+// like the library kernels (common/simd.hpp "Kernel tiers").
+EECS_SIMD_TIER_BEGIN
 
-template <class F4>
-long pack_sweep(const char* name) {
+template <class Isa>
+struct PackSweep {
+  /// atan2f_pack against the scalar replica over the special grid plus 64M
+  /// random lanes; returns the mismatch count.
+  static long run(const char* name, std::uint64_t& rng);
+};
+
+template <class Isa>
+long PackSweep<Isa>::run(const char* name, std::uint64_t& rng) {
+  using F4 = typename Isa::F32;
   constexpr int W = F4::kLanes;
   long bad = 0;
   auto batch = [&](const float* ys, const float* xs) {
@@ -96,8 +99,8 @@ long pack_sweep(const char* name) {
       float xs[W];
       for (int j = 0; j < W; ++j) {
         const bool special = j == 0 || j == W - 1;
-        ys[j] = special ? from_bits(by) : from_bits(next32());
-        xs[j] = special ? from_bits(bx) : from_bits(next32());
+        ys[j] = special ? from_bits(by) : from_bits(next32(rng));
+        xs[j] = special ? from_bits(bx) : from_bits(next32(rng));
       }
       batch(ys, xs);
     }
@@ -106,8 +109,8 @@ long pack_sweep(const char* name) {
     float ys[W];
     float xs[W];
     for (int j = 0; j < W; ++j) {
-      ys[j] = from_bits(next32());
-      xs[j] = from_bits(next32());
+      ys[j] = from_bits(next32(rng));
+      xs[j] = from_bits(next32(rng));
     }
     batch(ys, xs);
   }
@@ -115,6 +118,27 @@ long pack_sweep(const char* name) {
               W, bad);
   return bad;
 }
+
+EECS_SIMD_TIER_KERNELS(PackSweep);
+EECS_SIMD_TIER_END
+
+#if EECS_SIMD_TIER == 0
+namespace {
+
+long check_pair(float y, float x, long budget, const char* tag, float (*ref)(float, float)) {
+  const float mine = eecs::simd::atan2f_portable(y, x);
+  const float want = ref(y, x);
+  if (!bits_equal_or_both_nan_payload(mine, want)) {
+    if (budget < 10) {
+      std::printf("  [%s] MISMATCH y=%08x x=%08x replica=%08x ref=%08x\n", tag, to_bits(y),
+                  to_bits(x), to_bits(mine), to_bits(want));
+    }
+    return 1;
+  }
+  return 0;
+}
+
+float libm_atan2f(float y, float x) { return std::atan2(y, x); }
 
 }  // namespace
 
@@ -139,18 +163,18 @@ int main(int argc, char** argv) {
   // Every available backend at every width: the 128-bit native/emulation
   // pair, plus the wider native tiers compiled in and supported by this CPU
   // and their always-present emulation twins.
+  std::uint64_t rng = 0x9E3779B97F4A7C15ull;
   eecs::simd::for_each_isa([&](auto isa) {
-    using F = typename decltype(isa)::F32;
+    using Isa = decltype(isa);
     char name[32];
-    std::snprintf(name, sizeof name, "%s%d", decltype(isa)::kIsNative ? "native" : "emul",
-                  F::kLanes * 32);
-    bad += pack_sweep<F>(name);
+    std::snprintf(name, sizeof name, "%s%d", Isa::kIsNative ? "native" : "emul", Isa::kWidthBits);
+    bad += PackSweep<Isa>::run(name, rng);
   });
 
   if (!replica_only && host_is_fdlibm) {
     long bad_pairs = 0;
     for (long i = 0; i < 64 * 1000 * 1000; ++i) {
-      bad_pairs += check_pair(from_bits(next32()), from_bits(next32()), bad_pairs, "pairs",
+      bad_pairs += check_pair(from_bits(next32(rng)), from_bits(next32(rng)), bad_pairs, "pairs",
                               &libm_atan2f);
     }
     std::printf("pair sweep vs libm: %ld mismatches over 64M pairs\n", bad_pairs);
@@ -174,3 +198,4 @@ int main(int argc, char** argv) {
   std::printf("FAIL: %ld mismatches\n", bad);
   return 1;
 }
+#endif  // EECS_SIMD_TIER == 0
