@@ -11,13 +11,17 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "common/stopwatch.hpp"
 #include "imaging/filter.hpp"
 #include "core/offline.hpp"
+#include "detect/acf_detector.hpp"
 #include "detect/batch_precompute.hpp"
 #include "detect/block_grid.hpp"
+#include "detect/boosting.hpp"
 #include "detect/detector.hpp"
 #include "detect/frame_cache.hpp"
 #include "detect/sweep_scheduler.hpp"
+#include "detect/training.hpp"
 #include "domain/gfk.hpp"
 #include "features/census.hpp"
 #include "features/frame_feature.hpp"
@@ -132,6 +136,69 @@ void BM_Detector(benchmark::State& state) {
   state.SetLabel(detect::to_string(detector.id()));
 }
 BENCHMARK(BM_Detector)->DenseRange(0, 3);
+
+// Detector-bank training, the set-up every closed loop and offline profile
+// waits for: the synthetic training set, then each detector's train() at
+// threads=1 and at the default width (arg 0, the label names it).
+const detect::TrainingSet& training_set() {
+  static const detect::TrainingSet set = [] {
+    Rng rng(1234);
+    return detect::generate_training_set(rng);
+  }();
+  return set;
+}
+
+std::string width_label(std::int64_t arg) {
+  return "threads=" + std::to_string(arg > 0 ? arg : common::max_threads());
+}
+
+void BM_GenerateTrainingSet(benchmark::State& state) {
+  for (auto _ : state) {
+    Rng rng(1234);
+    benchmark::DoNotOptimize(detect::generate_training_set(rng));
+  }
+}
+BENCHMARK(BM_GenerateTrainingSet)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_TrainDetector(benchmark::State& state) {
+  const auto id = static_cast<detect::AlgorithmId>(state.range(0));
+  const common::ScopedThreads width(static_cast<int>(state.range(1)));
+  const detect::TrainingSet& set = training_set();
+  for (auto _ : state) {
+    auto detector = detect::make_detector(id);
+    Rng rng(77);
+    detector->train(set, rng);
+    benchmark::DoNotOptimize(detector);
+  }
+  state.SetLabel(std::string(detect::to_string(id)) + " " + width_label(state.range(1)));
+}
+BENCHMARK(BM_TrainDetector)
+    ->ArgsProduct({{0, 1, 2, 3}, {1, 0}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// ACF's boosting on its real training features, split into the once-per-set
+// presort and the 512 rounds (counters presort_s and rounds_s, per iteration).
+void BM_TrainAdaboost(benchmark::State& state) {
+  const common::ScopedThreads width(static_cast<int>(state.range(0)));
+  static const std::vector<std::vector<float>> x =
+      detect::training_rows(training_set(), detect::acf_patch_features);
+  const std::vector<int> y = training_set().labels();
+  double presort_s = 0.0, rounds_s = 0.0;
+  for (auto _ : state) {
+    const Stopwatch presort_clock;
+    const detect::FeatureOrder order = detect::presort_features(x);
+    presort_s += presort_clock.seconds();
+    const Stopwatch rounds_clock;
+    Rng rng(77);
+    benchmark::DoNotOptimize(detect::train_adaboost(x, y, order, rng));
+    rounds_s += rounds_clock.seconds();
+  }
+  state.counters["presort_s"] = benchmark::Counter(presort_s, benchmark::Counter::kAvgIterations);
+  state.counters["rounds_s"] = benchmark::Counter(rounds_s, benchmark::Counter::kAvgIterations);
+  state.SetLabel(width_label(state.range(0)));
+}
+BENCHMARK(BM_TrainAdaboost)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // One detector through an explicit FramePrecompute, optimized (score maps +
 // memoized substrates) vs forced-naive (the pre-cache per-window path). Both

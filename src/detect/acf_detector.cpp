@@ -324,17 +324,13 @@ std::vector<float> acf_window_features(const ChannelMap& channels, int x0, int y
   return feat;
 }
 
+std::vector<float> acf_patch_features(const imaging::Image& patch) {
+  return acf_window_features(compute_acf_channels(patch), 0, 0);
+}
+
 void AcfDetector::train(const TrainingSet& training_set, Rng& rng) {
-  std::vector<std::vector<float>> x;
-  std::vector<int> y;
-  for (const auto& p : training_set.positives) {
-    x.push_back(acf_window_features(compute_acf_channels(p), 0, 0));
-    y.push_back(1);
-  }
-  for (const auto& n : training_set.negatives) {
-    x.push_back(acf_window_features(compute_acf_channels(n), 0, 0));
-    y.push_back(-1);
-  }
+  const std::vector<std::vector<float>> x = training_rows(training_set, acf_patch_features);
+  const std::vector<int> y = training_set.labels();
   model_ = train_adaboost(x, y, rng, params_.boost);
   total_alpha_ = 0.0;
   for (const Stump& st : model_.stumps) total_alpha_ += std::abs(static_cast<double>(st.alpha));

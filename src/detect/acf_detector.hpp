@@ -55,6 +55,10 @@ struct ChannelMap {
 /// (x0, y0): layout [channel][cell_y][cell_x].
 [[nodiscard]] std::vector<float> acf_window_features(const ChannelMap& channels, int x0, int y0);
 
+/// The training feature row of a canonical-size patch: its whole-window
+/// aggregated channels.
+[[nodiscard]] std::vector<float> acf_patch_features(const imaging::Image& patch);
+
 class AcfDetector final : public Detector {
  public:
   explicit AcfDetector(const AcfDetectorParams& params = {})

@@ -16,17 +16,8 @@ std::vector<float> patch_hog_descriptor(const imaging::Image& patch) {
 }
 
 void HogDetector::train(const TrainingSet& training_set, Rng& rng) {
-  std::vector<std::vector<float>> x;
-  std::vector<int> y;
-  x.reserve(training_set.positives.size() + training_set.negatives.size());
-  for (const auto& p : training_set.positives) {
-    x.push_back(patch_hog_descriptor(p));
-    y.push_back(1);
-  }
-  for (const auto& n : training_set.negatives) {
-    x.push_back(patch_hog_descriptor(n));
-    y.push_back(-1);
-  }
+  const std::vector<std::vector<float>> x = training_rows(training_set, patch_hog_descriptor);
+  const std::vector<int> y = training_set.labels();
   model_ = train_linear_svm(x, y, rng);
 
   std::vector<double> pos_scores, neg_scores;

@@ -57,6 +57,20 @@ bool overlaps_any(const imaging::Rect& box, const std::vector<video::GroundTruth
 
 }  // namespace
 
+std::vector<int> TrainingSet::labels() const {
+  std::vector<int> y(size(), -1);
+  std::fill(y.begin(), y.begin() + static_cast<std::ptrdiff_t>(positives.size()), 1);
+  return y;
+}
+
+std::vector<std::vector<float>> training_rows(
+    const TrainingSet& set, const std::function<std::vector<float>(const imaging::Image&)>& features) {
+  std::vector<std::vector<float>> rows;
+  rows.reserve(set.size());
+  for (std::size_t i = 0; i < set.size(); ++i) rows.push_back(features(set.patch(i)));
+  return rows;
+}
+
 TrainingSet generate_training_set(Rng& rng, const TrainingSetOptions& options) {
   EECS_EXPECTS(options.num_positives > 0 && options.num_negatives > 0);
   TrainingSet set;

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <numeric>
 
+#include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "detect/acf_detector.hpp"
 #include "detect/batch_precompute.hpp"
@@ -115,6 +119,151 @@ TEST(Boosting, AlphasArePositive) {
   const BoostedModel model = train_adaboost(x, y, rng, {20, 1});
   ASSERT_FALSE(model.stumps.empty());
   for (const auto& st : model.stumps) EXPECT_GT(st.alpha, 0.0f);
+}
+
+TEST(Boosting, RejectsFeaturelessAndRaggedRows) {
+  Rng rng(4);
+  const std::vector<int> y{1, -1};
+  EXPECT_THROW((void)train_adaboost({{}, {}}, y, rng), ContractViolation);
+  EXPECT_THROW((void)train_adaboost({{1.0f, 2.0f}, {3.0f}}, y, rng), ContractViolation);
+}
+
+// The serial stump search as it was before the presorted, parallel sweep:
+// per feature it re-sums the class totals and reads values in sorted order.
+// The production trainer must reproduce its stumps bit for bit.
+BoostedModel reference_train_adaboost(const std::vector<std::vector<float>>& x,
+                                      const std::vector<int>& y, Rng& rng,
+                                      const BoostOptions& options) {
+  struct Split {
+    double error = 1.0;
+    float threshold = 0.0f;
+    float polarity = 1.0f;
+  };
+  const int dim = static_cast<int>(x.front().size());
+  const std::size_t n = x.size();
+  std::vector<int> sort_cache(static_cast<std::size_t>(dim) * n);
+  for (int f = 0; f < dim; ++f) {
+    int* order = sort_cache.data() + static_cast<std::size_t>(f) * n;
+    std::iota(order, order + n, 0);
+    std::sort(order, order + n, [&](int a, int b) {
+      return x[static_cast<std::size_t>(a)][static_cast<std::size_t>(f)] <
+             x[static_cast<std::size_t>(b)][static_cast<std::size_t>(f)];
+    });
+  }
+  const auto split_for = [&](const std::vector<double>& w, int f) {
+    const int* order = sort_cache.data() + static_cast<std::size_t>(f) * n;
+    const auto value_at = [&](std::size_t i) {
+      return x[static_cast<std::size_t>(order[i])][static_cast<std::size_t>(f)];
+    };
+    double total_pos = 0.0, total_neg = 0.0;
+    for (std::size_t i = 0; i < n; ++i) (y[i] == 1 ? total_pos : total_neg) += w[i];
+    Split best;
+    double pos_below = 0.0, neg_below = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t idx = static_cast<std::size_t>(order[i]);
+      (y[idx] == 1 ? pos_below : neg_below) += w[idx];
+      const float value = value_at(i);
+      if (i + 1 < n && value_at(i + 1) == value) continue;
+      const double err_pos_polarity = pos_below + (total_neg - neg_below);
+      const double err_neg_polarity = neg_below + (total_pos - pos_below);
+      if (err_pos_polarity < best.error) best = {err_pos_polarity, value, +1.0f};
+      if (err_neg_polarity < best.error) best = {err_neg_polarity, value, -1.0f};
+    }
+    return best;
+  };
+
+  std::vector<double> w(n, 1.0 / static_cast<double>(n));
+  BoostedModel model;
+  for (int round = 0; round < options.rounds; ++round) {
+    const int k = std::min(options.features_per_round, dim);
+    const std::vector<int> features = rng.sample_indices(dim, k);
+    Split best;
+    int best_feature = features.front();
+    for (int f : features) {
+      const Split split = split_for(w, f);
+      if (split.error < best.error) {
+        best = split;
+        best_feature = f;
+      }
+    }
+    const double eps = std::clamp(best.error, 1e-10, 1.0 - 1e-10);
+    if (eps >= 0.5) continue;
+    const double alpha = 0.5 * std::log((1.0 - eps) / eps);
+    const Stump stump{best_feature, best.threshold, best.polarity, static_cast<float>(alpha)};
+    model.stumps.push_back(stump);
+    double sum_w = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float v = x[i][static_cast<std::size_t>(stump.feature)];
+      const float h = (v > stump.threshold) ? stump.polarity : -stump.polarity;
+      w[i] *= std::exp(-alpha * static_cast<double>(y[i]) * static_cast<double>(h));
+      sum_w += w[i];
+    }
+    for (auto& wi : w) wi /= sum_w;
+  }
+  return model;
+}
+
+/// Trains with the production trainer at widths 1 and 4 and requires every
+/// stump to equal the serial reference's, bit for bit.
+void expect_stumps_match_reference(const std::vector<std::vector<float>>& x,
+                                   const std::vector<int>& y, std::uint64_t seed,
+                                   const BoostOptions& options) {
+  Rng reference_rng(seed);
+  const BoostedModel reference = reference_train_adaboost(x, y, reference_rng, options);
+  ASSERT_FALSE(reference.stumps.empty());
+  for (int width : {1, 4}) {
+    const common::ScopedThreads threads(width);
+    Rng rng(seed);
+    const BoostedModel model = train_adaboost(x, y, rng, options);
+    ASSERT_EQ(model.stumps.size(), reference.stumps.size()) << "width " << width;
+    for (std::size_t i = 0; i < model.stumps.size(); ++i) {
+      const Stump& got = model.stumps[i];
+      const Stump& want = reference.stumps[i];
+      EXPECT_EQ(got.feature, want.feature) << "width " << width << " stump " << i;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got.threshold),
+                std::bit_cast<std::uint32_t>(want.threshold))
+          << "width " << width << " stump " << i;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got.alpha), std::bit_cast<std::uint32_t>(want.alpha))
+          << "width " << width << " stump " << i;
+      EXPECT_EQ(got.polarity, want.polarity) << "width " << width << " stump " << i;
+    }
+    // Both consumed the same feature subsamples.
+    EXPECT_EQ(rng.next_u64(), Rng(reference_rng).next_u64()) << "width " << width;
+  }
+}
+
+TEST(Boosting, MatchesSerialReferenceOnTiedValues) {
+  // Values on a coarse grid (long runs of ties), one constant feature, a
+  // copy of an informative feature (equal errors: the first sampled must
+  // win), and more features per round than there are features. 40 features
+  // span three presort blocks, so the presort fans out too.
+  Rng rng(11);
+  constexpr int kDim = 40;
+  std::vector<std::vector<float>> x;
+  std::vector<int> y;
+  for (int i = 0; i < 257; ++i) {
+    const bool pos = rng.uniform() < 0.4;
+    std::vector<float> row(kDim);
+    for (int f = 0; f < kDim; ++f) {
+      const double shift = (pos && f % 3 == 0) ? 1.0 : 0.0;
+      row[static_cast<std::size_t>(f)] =
+          static_cast<float>(std::round(2.0 * (rng.normal() + shift)) / 2.0);
+    }
+    row[7] = 0.25f;
+    row[20] = row[3];
+    x.push_back(std::move(row));
+    y.push_back(pos ? 1 : -1);
+  }
+  expect_stumps_match_reference(x, y, 12, {300, 64});
+}
+
+TEST(Boosting, MatchesSerialReferenceOnAcfTrainingFeatures) {
+  Rng rng(1234);
+  const TrainingSet set = generate_training_set(rng);
+  // Fewer rounds than the detector's 512 keep the serial reference quick;
+  // every round runs the same sweep.
+  expect_stumps_match_reference(training_rows(set, acf_patch_features), set.labels(), 99,
+                                {48, 256});
 }
 
 TEST(Platt, ProbabilityMonotonicInScore) {
