@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -145,9 +146,15 @@ void ThreadPool::run_chunks(std::size_t n, std::size_t chunk_size, int max_parti
       return job->chunks_done.load(std::memory_order_acquire) == job->num_chunks;
     });
   }
+  // Take every exception out of the job before rethrowing: a worker may still
+  // hold the job and drop the last reference to it, and the exception objects
+  // must not be released on that thread while the caller reads them.
+  std::exception_ptr first;
   for (auto& err : job->errors) {
-    if (err) std::rethrow_exception(err);
+    if (err && !first) first = err;
+    err = nullptr;
   }
+  if (first) std::rethrow_exception(first);
 }
 
 namespace {

@@ -290,9 +290,8 @@ struct FrameOutcome {
   std::uint64_t windows_pruned = 0;     ///< ... skipped by the context gate.
 };
 
-FrameOutcome process_camera_frame(const detect::Detector& detector, double threshold, int camera,
+FrameOutcome process_camera_frame(const detect::Detector& detector, double threshold,
                                   detect::FramePrecompute& pre, const OfflineOptions& models) {
-  (void)camera;
   FrameOutcome outcome;
   energy::CostCounter cost;
   auto raw = detector.detect(pre, &cost);
@@ -310,6 +309,57 @@ FrameOutcome process_camera_frame(const detect::Detector& detector, double thres
   }
   outcome.cpu_joules = models.cpu_model.joules(cost);
   return outcome;
+}
+
+/// One detector run of a frame's detection fan-out. Jobs sharing a `slot`
+/// run in list order over that slot's FramePrecompute, so a camera sweeping
+/// several algorithms computes their common substrates once.
+struct DetectJob {
+  std::size_t slot = 0;
+  int camera = 0;
+  const detect::Detector* detector = nullptr;
+  double threshold = 0.0;
+};
+
+/// The per-frame detection step of every phase: plan the jobs in list order
+/// on one SweepScheduler (the context gate prunes infeasible (scale, row
+/// band) tiles when it engages at `round_phase`), prewarm the work-list
+/// stage-major (resizes, then feature substrates, rung by rung across all
+/// slots), fan out one task per slot, and account the windows serially in
+/// slot/job order (assessment sweeps count too: the camera really runs them).
+/// Returns each slot's outcomes in job order; a slot without jobs gets none.
+std::vector<std::vector<FrameOutcome>> detect_frame(
+    const video::MultiViewFrame& frame, const std::vector<geometry::PinholeCamera>& calibrations,
+    std::size_t slots, const std::vector<DetectJob>& jobs, const detect::ContextGateOptions& gate,
+    std::uint64_t round_phase, const OfflineOptions& models, SimTelemetry& st,
+    SimulationResult& result) {
+  std::vector<std::vector<FrameOutcome>> outcomes;
+  {
+    const obs::ScopedSpan span("stage.detect", "stage", st.detect_s, frame.index);
+    detect::SweepScheduler sched(slots, gate, round_phase);
+    for (const DetectJob& job : jobs) {
+      const auto c = static_cast<std::size_t>(job.camera);
+      sched.plan(job.slot, frame.views[c], *job.detector, &calibrations[c]);
+    }
+    sched.prewarm();
+    outcomes = common::parallel_map<std::vector<FrameOutcome>>(slots, [&](std::size_t s) {
+      std::vector<FrameOutcome> out;
+      for (const DetectJob& job : jobs) {
+        if (job.slot != s) continue;
+        out.push_back(process_camera_frame(*job.detector, job.threshold, sched.at(s), models));
+      }
+      return out;
+    });
+  }
+  for (const auto& slot_outcomes : outcomes) {
+    for (const FrameOutcome& outcome : slot_outcomes) {
+      result.windows_evaluated += outcome.windows_evaluated;
+      result.windows_pruned += outcome.windows_pruned;
+      st.windows_evaluated.inc(outcome.windows_evaluated);
+      st.windows_pruned.inc(outcome.windows_pruned);
+    }
+  }
+  return outcomes;
 }
 
 /// Assemble the §IV-B assessment sample representation from an outcome,
@@ -1056,15 +1106,11 @@ SimulationResult run_eecs_simulation(const DetectorBank& detectors,
       const video::MultiViewFrame frame = next_frame_timed();
       // Gating depends only on state fixed before any of this frame's
       // transmissions (node_down is clock-driven, batteries are not drained
-      // here), so the task lists are built up front. The fan-out is one task
-      // per camera: a camera's algorithms run sequentially over one shared
+      // here), so the job list is built up front. One slot per camera: a
+      // camera's algorithms run sequentially over one shared
       // FramePrecompute, so the 4-algorithm sweep computes common substrates
       // (resizes, block grids, channels) once instead of once per algorithm.
-      struct AssessTask {
-        detect::AlgorithmId algorithm = detect::AlgorithmId::Hog;
-        double threshold = 0.0;
-      };
-      std::vector<std::vector<AssessTask>> tasks(static_cast<std::size_t>(num_cameras));
+      std::vector<DetectJob> jobs;
       std::vector<char> camera_up(static_cast<std::size_t>(num_cameras), 0);
       for (int c = 0; c < num_cameras; ++c) {
         if (camera_down(c)) continue;
@@ -1077,52 +1123,18 @@ SimulationResult run_eecs_simulation(const DetectorBank& detectors,
         for (detect::AlgorithmId alg : config.controller.algorithms) {
           const AlgorithmProfile* profile = controller.entry(c, alg);
           if (profile == nullptr) continue;  // Over budget or not ranked.
-          tasks[static_cast<std::size_t>(c)].push_back({alg, profile->threshold});
+          jobs.push_back({static_cast<std::size_t>(c), c, &detector_of(alg), profile->threshold});
         }
       }
-      std::vector<std::vector<FrameOutcome>> outcomes;
-      {
-        const obs::ScopedSpan span("stage.detect", "stage", st.detect_s, frame.index);
-        // One shared cache slot per camera; with batching on, the scheduler
-        // prewarms the whole round's work-list stage-major (resizes, then
-        // feature substrates, rung-by-rung across all assessed cameras)
-        // before the fan-out. The context gate — when engaged this round —
-        // prunes infeasible (scale, row band) tiles from the list up front.
-        detect::SweepScheduler batch(static_cast<std::size_t>(num_cameras), gate_opts,
-                                     static_cast<std::uint64_t>(rounds_completed));
-        for (int c = 0; c < num_cameras; ++c) {
-          for (const AssessTask& task : tasks[static_cast<std::size_t>(c)]) {
-            batch.plan(static_cast<std::size_t>(c), frame.views[static_cast<std::size_t>(c)],
-                       detector_of(task.algorithm), &sim.cameras()[static_cast<std::size_t>(c)]);
-          }
-        }
-        if (config.batch_precompute) batch.prewarm();
-        outcomes = common::parallel_map<std::vector<FrameOutcome>>(
-            static_cast<std::size_t>(num_cameras), [&](std::size_t c) {
-              std::vector<FrameOutcome> out;
-              if (tasks[c].empty()) return out;
-              detect::FramePrecompute& pre = batch.at(c);
-              out.reserve(tasks[c].size());
-              for (const AssessTask& task : tasks[c]) {
-                out.push_back(process_camera_frame(detector_of(task.algorithm), task.threshold,
-                                                   static_cast<int>(c), pre, config.models));
-              }
-              return out;
-            });
-      }
-      // Window accounting, serially in camera order (assessment sweeps count
-      // too: the camera really runs them).
-      for (const auto& camera_outcomes : outcomes) {
-        for (const FrameOutcome& outcome : camera_outcomes) {
-          result.windows_evaluated += outcome.windows_evaluated;
-          result.windows_pruned += outcome.windows_pruned;
-          st.windows_evaluated.inc(outcome.windows_evaluated);
-          st.windows_pruned.inc(outcome.windows_pruned);
-        }
-      }
+      std::vector<std::vector<FrameOutcome>> outcomes =
+          detect_frame(frame, sim.cameras(), static_cast<std::size_t>(num_cameras), jobs,
+                       gate_opts, static_cast<std::uint64_t>(rounds_completed), config.models,
+                       st, result);
       if constexpr (obs::kEnabled) {
         double assessed = 0.0;
-        for (const auto& camera_tasks : tasks) assessed += camera_tasks.empty() ? 0.0 : 1.0;
+        for (const auto& camera_outcomes : outcomes) {
+          assessed += camera_outcomes.empty() ? 0.0 : 1.0;
+        }
         trace_instant("detect.batch", "detect", frame.index,
                       {{"cameras", assessed},
                        {"assessment", 1.0},
@@ -1130,26 +1142,25 @@ SimulationResult run_eecs_simulation(const DetectorBank& detectors,
                        {"windows_pruned", static_cast<double>(result.windows_pruned)}});
       }
       // Sequential transmission phase, in the exact serial-path order:
-      // heartbeat(c), then one metadata message per assessed algorithm.
+      // heartbeat(c), then one metadata message per assessed algorithm (the
+      // jobs are in camera order, so `next_job` walks them alongside).
       const obs::ScopedSpan span("stage.net", "stage", st.net_s, frame.index);
+      std::size_t next_job = 0;
       for (int c = 0; c < num_cameras; ++c) {
         if (!camera_up[static_cast<std::size_t>(c)]) continue;
         send_heartbeat(c, obs::EnergyStage::Assessment);
-        const auto& camera_tasks = tasks[static_cast<std::size_t>(c)];
-        for (std::size_t t = 0; t < camera_tasks.size(); ++t) {
-          FrameOutcome& outcome = outcomes[static_cast<std::size_t>(c)][t];
-          const net::DetectionMetadataMsg msg =
-              make_metadata_msg(c, frame.index, camera_tasks[t].algorithm, outcome);
+        for (FrameOutcome& outcome : outcomes[static_cast<std::size_t>(c)]) {
+          const detect::AlgorithmId alg = jobs[next_job++].detector->id();
+          const net::DetectionMetadataMsg msg = make_metadata_msg(c, frame.index, alg, outcome);
           st.messages_sent.inc();
           const auto tx = network.send(net_node[static_cast<std::size_t>(c)], 0, encode(msg),
                                        net::TxClass::Control);
           // Assessment metadata rides the control plane (zero joules today);
           // the debit keeps the sample traffic visible in the audit.
-          ledger.debit_radio(c, obs::EnergyStage::Assessment,
-                             static_cast<int>(camera_tasks[t].algorithm),
+          ledger.debit_radio(c, obs::EnergyStage::Assessment, static_cast<int>(alg),
                              obs::EnergyCause::Tx, tx.tx_joules);
           if (tx.delivered) {
-            in_flight[{c, frame.index, static_cast<int>(camera_tasks[t].algorithm)}] = {
+            in_flight[{c, frame.index, static_cast<int>(alg)}] = {
                 f, to_view_detections(c, std::move(outcome))};
           } else {
             st.messages_lost.inc();
@@ -1289,31 +1300,16 @@ SimulationResult run_eecs_simulation(const DetectorBank& detectors,
           acts[static_cast<std::size_t>(c)] = Act::HeartbeatOnly;
         }
       }
-      std::vector<FrameOutcome> outcomes;
-      {
-        const obs::ScopedSpan span("stage.detect", "stage", st.detect_s, frame.index);
-        detect::SweepScheduler batch(processing.size(), gate_opts,
-                                     static_cast<std::uint64_t>(rounds_completed));
-        for (std::size_t i = 0; i < processing.size(); ++i) {
-          const int c = processing[i];
-          const Effective& eff = effective[static_cast<std::size_t>(c)];
-          batch.plan(i, frame.views[static_cast<std::size_t>(c)], detector_of(eff.algorithm),
-                     &sim.cameras()[static_cast<std::size_t>(c)]);
-        }
-        if (config.batch_precompute) batch.prewarm();
-        outcomes = common::parallel_map<FrameOutcome>(processing.size(), [&](std::size_t i) {
-          const int c = processing[i];
-          const Effective& eff = effective[static_cast<std::size_t>(c)];
-          return process_camera_frame(detector_of(eff.algorithm), eff.threshold, c, batch.at(i),
-                                      config.models);
-        });
+      std::vector<DetectJob> jobs;
+      jobs.reserve(processing.size());
+      for (std::size_t i = 0; i < processing.size(); ++i) {
+        const int c = processing[i];
+        const Effective& eff = effective[static_cast<std::size_t>(c)];
+        jobs.push_back({i, c, &detector_of(eff.algorithm), eff.threshold});
       }
-      for (const FrameOutcome& outcome : outcomes) {
-        result.windows_evaluated += outcome.windows_evaluated;
-        result.windows_pruned += outcome.windows_pruned;
-        st.windows_evaluated.inc(outcome.windows_evaluated);
-        st.windows_pruned.inc(outcome.windows_pruned);
-      }
+      const std::vector<std::vector<FrameOutcome>> outcomes =
+          detect_frame(frame, sim.cameras(), processing.size(), jobs, gate_opts,
+                       static_cast<std::uint64_t>(rounds_completed), config.models, st, result);
       trace_instant("detect.batch", "detect", frame.index,
                     {{"cameras", static_cast<double>(processing.size())},
                      {"assessment", 0.0},
@@ -1328,7 +1324,7 @@ SimulationResult run_eecs_simulation(const DetectorBank& detectors,
         send_heartbeat(c, obs::EnergyStage::Operation);
         if (acts[static_cast<std::size_t>(c)] != Act::Process) continue;
         CameraNode& cam = cameras[static_cast<std::size_t>(c)];
-        const FrameOutcome& outcome = outcomes[next_outcome++];
+        const FrameOutcome& outcome = outcomes[next_outcome++].front();
 
         const net::DetectionMetadataMsg msg = make_metadata_msg(
             c, frame.index, effective[static_cast<std::size_t>(c)].algorithm, outcome);
@@ -1538,38 +1534,20 @@ SimulationResult run_fixed_combo(const DetectorBank& detectors, const OfflineKno
     // the sequential replay below re-checks each battery at its legacy
     // sequence point, so an entry drained dark mid-frame (a camera listed
     // twice) discards its speculative outcome exactly like the serial path.
-    std::vector<char> compute(entries.size(), 0);
+    // One slot per (camera, algorithm) entry — a camera listed twice keeps
+    // two independent caches, matching the legacy per-entry work profile.
+    // Fixed combos have no rounds; the recovery cadence ticks per GT frame.
+    std::vector<DetectJob> jobs;
+    jobs.reserve(entries.size());
     for (std::size_t e = 0; e < entries.size(); ++e) {
-      compute[e] = batteries[static_cast<std::size_t>(entries[e].camera)].empty() ? 0 : 1;
+      const Entry& entry = entries[e];
+      if (batteries[static_cast<std::size_t>(entry.camera)].empty()) continue;
+      jobs.push_back({e, entry.camera, entry.detector, entry.threshold});
     }
-    std::vector<FrameOutcome> outcomes;
-    {
-      const obs::ScopedSpan span("stage.detect", "stage", st.detect_s, frame.index);
-      // One slot per (camera, algorithm) entry — a camera listed twice keeps
-      // two independent caches, matching the legacy per-entry work profile.
-      // Fixed combos have no rounds; the recovery cadence ticks per GT frame.
-      detect::SweepScheduler batch(entries.size(), gate_opts,
-                                   static_cast<std::uint64_t>(result.gt_frames_processed));
-      for (std::size_t e = 0; e < entries.size(); ++e) {
-        if (!compute[e]) continue;
-        batch.plan(e, frame.views[static_cast<std::size_t>(entries[e].camera)],
-                   *entries[e].detector,
-                   &sim.cameras()[static_cast<std::size_t>(entries[e].camera)]);
-      }
-      if (config.batch_precompute) batch.prewarm();
-      outcomes = common::parallel_map<FrameOutcome>(entries.size(), [&](std::size_t e) {
-        if (!compute[e]) return FrameOutcome{};
-        const Entry& entry = entries[e];
-        return process_camera_frame(*entry.detector, entry.threshold, entry.camera, batch.at(e),
-                                    config.models);
-      });
-    }
-    for (const FrameOutcome& outcome : outcomes) {
-      result.windows_evaluated += outcome.windows_evaluated;
-      result.windows_pruned += outcome.windows_pruned;
-      st.windows_evaluated.inc(outcome.windows_evaluated);
-      st.windows_pruned.inc(outcome.windows_pruned);
-    }
+    const std::vector<std::vector<FrameOutcome>> outcomes =
+        detect_frame(frame, sim.cameras(), entries.size(), jobs, gate_opts,
+                     static_cast<std::uint64_t>(result.gt_frames_processed), config.models, st,
+                     result);
 
     std::set<int> detected;
     for (std::size_t e = 0; e < entries.size(); ++e) {
@@ -1580,7 +1558,8 @@ SimulationResult run_fixed_combo(const DetectorBank& detectors, const OfflineKno
         st.frames_skipped.inc();
         continue;
       }
-      const FrameOutcome& outcome = outcomes[e];
+      // Charged now means charged at the top of the frame: the entry ran.
+      const FrameOutcome& outcome = outcomes[e].front();
       const double radio_joules = config.models.radio_model.tx_joules(outcome.comm_bytes);
       result.cpu_joules += outcome.cpu_joules;
       result.radio_joules += radio_joules;

@@ -89,11 +89,6 @@ struct EecsSimulationConfig {
   /// Results are bit-identical at every setting (see DESIGN.md "SIMD &
   /// portability").
   int simd = -1;
-  /// Stage-major round precompute: gather every camera's frame and run one
-  /// shared-plan resize pass per pyramid rung across the whole batch before
-  /// the per-camera fan-out (see DESIGN.md "Virtual width & batched
-  /// detection"). Bit-identical either way; off = per-camera on-demand.
-  bool batch_precompute = true;
   /// Context-aware scale/region pruning (off by default; overridable with the
   /// EECS_CONTEXT_GATE env var — see detect::resolve_context_gate). When
   /// enabled, each camera's ground-plane homography bounds the feasible
@@ -247,8 +242,6 @@ struct FixedComboConfig {
   int threads = 0;
   /// SIMD dispatch; see EecsSimulationConfig::simd.
   int simd = -1;
-  /// Stage-major round precompute; see EecsSimulationConfig::batch_precompute.
-  bool batch_precompute = true;
   /// Context-aware pruning; see EecsSimulationConfig::context_gate.
   detect::ContextGateOptions context_gate;
   int start_frame = 1000;

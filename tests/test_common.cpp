@@ -3,12 +3,10 @@
 #include <cmath>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/contracts.hpp"
-#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 
@@ -195,37 +193,6 @@ TEST(Strings, RenderTableAlignsColumns) {
   const std::string t = render_table({"a", "bb"}, {{"ccc", "d"}});
   EXPECT_NE(t.find("ccc"), std::string::npos);
   EXPECT_NE(t.find("---"), std::string::npos);
-}
-
-TEST(Logging, SinkCapturesPassingMessages) {
-  std::vector<std::pair<LogLevel, std::string>> captured;
-  {
-    const ScopedLogSink sink([&](LogLevel level, const std::string& msg) {
-      captured.emplace_back(level, msg);
-    });
-    EECS_WARN << "wire " << 42;
-    EECS_DEBUG << "below threshold";  // Default level Warn: filtered out.
-    log_message(LogLevel::Error, "direct");
-  }
-  ASSERT_EQ(captured.size(), 2u);
-  EXPECT_EQ(captured[0].first, LogLevel::Warn);
-  EXPECT_EQ(captured[0].second, "wire 42");
-  EXPECT_EQ(captured[1].first, LogLevel::Error);
-  EXPECT_EQ(captured[1].second, "direct");
-  // Sink removed at scope exit: this must not reach `captured`.
-  EECS_WARN << "after removal";
-  EXPECT_EQ(captured.size(), 2u);
-}
-
-TEST(Logging, SinkRespectsLevelThreshold) {
-  int count = 0;
-  const ScopedLogSink sink([&](LogLevel, const std::string&) { ++count; });
-  set_log_level(LogLevel::Off);
-  EECS_ERROR << "suppressed";
-  EXPECT_EQ(count, 0);
-  set_log_level(LogLevel::Warn);  // Restore the suite default.
-  EECS_WARN << "passes";
-  EXPECT_EQ(count, 1);
 }
 
 }  // namespace

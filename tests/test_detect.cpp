@@ -9,7 +9,6 @@
 #include "common/parallel.hpp"
 #include "common/simd.hpp"
 #include "detect/acf_detector.hpp"
-#include "detect/batch_precompute.hpp"
 #include "detect/boosting.hpp"
 #include "detect/c4_detector.hpp"
 #include "detect/calibration.hpp"
@@ -481,75 +480,37 @@ TEST(GoldenDetections, Dataset1BitExact) { expect_golden(1); }
 TEST(GoldenDetections, Dataset2BitExact) { expect_golden(2); }
 
 
-// --- BatchPrecompute: the stage-major prewarm must be invisible — same
-// detections, same replayed energy charges as a cold per-camera cache.
-
-TEST(BatchPrecompute, PrewarmedDetectionsAndCostsMatchOnDemand) {
-  const auto& detectors = trained_bank();
-  // Two same-sized frames (shared resize plans) plus one odd-sized frame
-  // (its own plan group).
-  video::SceneSimulator sim(video::dataset_by_id(1), 4242);
-  sim.skip(100);
-  const imaging::Image frame_a = sim.next_frame_single(0);
-  const imaging::Image frame_b = sim.next_frame_single(1);
-  const imaging::Image frame_c = frame_a.crop(16, 8, frame_a.width() - 48, frame_a.height() - 24);
-  const imaging::Image* frames[] = {&frame_a, &frame_b, &frame_c};
-
-  BatchPrecompute batch(3);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (const auto& detector : detectors) batch.plan(i, *frames[i], *detector);
-  }
-  batch.prewarm();
-  batch.prewarm();  // Idempotent: a second call must not disturb anything.
-
-  for (std::size_t i = 0; i < 3; ++i) {
-    SCOPED_TRACE("frame " + std::to_string(i));
-    FramePrecompute cold(*frames[i]);
-    for (const auto& detector : detectors) {
-      SCOPED_TRACE(to_string(detector->id()));
-      energy::CostCounter batched_cost;
-      const auto batched = detector->detect(batch.at(i), &batched_cost);
-      energy::CostCounter cold_cost;
-      const auto want = detector->detect(cold, &cold_cost);
-      EXPECT_TRUE(batched_cost == cold_cost);
-      ASSERT_EQ(batched.size(), want.size());
-      for (std::size_t d = 0; d < want.size(); ++d) {
-        EXPECT_EQ(batched[d].box.x, want[d].box.x);
-        EXPECT_EQ(batched[d].box.y, want[d].box.y);
-        EXPECT_EQ(batched[d].box.w, want[d].box.w);
-        EXPECT_EQ(batched[d].box.h, want[d].box.h);
-        EXPECT_EQ(batched[d].score, want[d].score);
-        EXPECT_EQ(batched[d].probability, want[d].probability);
-      }
-    }
-  }
-}
-
 // --- SweepScheduler: with the gate off, the scheduler-owned work-list is
 // pure reordering — detections and replayed costs must be bit-identical to a
 // cold per-frame cache AND to the legacy per-window path, on awkward frame
 // geometries (odd dims, barely-one-window, census-crop-guard sizes) included.
+// Two same-sized views of different cameras share every resize group, so the
+// multi-frame resize_batch passes are checked too.
 
 TEST(SweepScheduler, GateOffMatchesNaivePathOnOddGeometries) {
   const auto& detectors = trained_bank();
   video::SceneSimulator sim(video::dataset_by_id(1), 4242);
   sim.skip(100);
   const imaging::Image base = sim.next_frame_single(0);
+  const imaging::Image other = sim.next_frame_single(1);  // Same dims as base.
   const imaging::Image odd = base.crop(7, 5, 177, 143);    // Odd dims, odd origin.
   const imaging::Image tight = base.crop(0, 0, 49, 97);    // Barely one window.
   const imaging::Image census = base.crop(3, 1, 51, 99);   // C4 crop-guard edge.
-  const imaging::Image* frames[] = {&base, &odd, &tight, &census};
+  ASSERT_EQ(other.width(), base.width());
+  ASSERT_EQ(other.height(), base.height());
+  const imaging::Image* frames[] = {&base, &other, &odd, &tight, &census};
+  constexpr std::size_t kFrames = std::size(frames);
 
-  SweepScheduler sched(4);
+  SweepScheduler sched(kFrames);
   EXPECT_FALSE(sched.gating());  // No gate options: never gates.
-  for (std::size_t i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < kFrames; ++i) {
     for (const auto& detector : detectors) sched.plan(i, *frames[i], *detector);
   }
   sched.prewarm();
   sched.prewarm();  // Idempotent.
   EXPECT_EQ(sched.tiles_pruned(), 0u);
 
-  for (std::size_t i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < kFrames; ++i) {
     SCOPED_TRACE("frame " + std::to_string(i));
     for (const auto& detector : detectors) {
       SCOPED_TRACE(to_string(detector->id()));
@@ -767,16 +728,16 @@ TEST(SweepGate, AnchorConversionRespectsStrideAndOffset) {
   }
 }
 
-TEST(BatchPrecompute, UnplannedSlotsAreReported) {
-  BatchPrecompute batch(2);
-  EXPECT_FALSE(batch.planned(0));
-  EXPECT_FALSE(batch.planned(5));  // Out of range, not a crash.
+TEST(SweepScheduler, UnplannedSlotsAreReported) {
+  SweepScheduler sched(2);
+  EXPECT_FALSE(sched.planned(0));
+  EXPECT_FALSE(sched.planned(5));  // Out of range, not a crash.
   const auto& detectors = trained_bank();
   video::SceneSimulator sim(video::dataset_by_id(1), 4242);
   const imaging::Image frame = sim.next_frame_single(0);
-  batch.plan(1, frame, *detectors[0]);
-  EXPECT_FALSE(batch.planned(0));
-  EXPECT_TRUE(batch.planned(1));
+  sched.plan(1, frame, *detectors[0]);
+  EXPECT_FALSE(sched.planned(0));
+  EXPECT_TRUE(sched.planned(1));
 }
 
 }  // namespace
