@@ -236,7 +236,7 @@ std::string durability_probe(const core::DetectorBank& bank,
       "{\"fault_free_bit_identical\": %s, \"fault_free_overhead_fraction\": %.4f, "
       "\"chaos_total_joules\": %.6f, \"chaos_humans_detected\": %d, "
       "\"chaos_messages_lost\": %ld, \"chaos_assignments_abandoned\": %ld, "
-      "\"chaos_cameras_failed\": %d, \"chaos_cameras_recovered\": %d}",
+      "\"chaos_cameras_failed\": %ld, \"chaos_cameras_recovered\": %ld}",
       identical ? "true" : "false", overhead, chaos.total_joules(), chaos.humans_detected,
       chaos.faults.messages_lost, chaos.faults.assignments_abandoned, chaos.faults.cameras_failed,
       chaos.faults.cameras_recovered);

@@ -55,7 +55,7 @@ int main() {
                 round.stats.cameras_active, round.stats.n_star, round.stats.n_est,
                 round.stats.summary.c_str());
   }
-  std::printf("  cameras declared dead: %d, recovered: %d\n", crashed.faults.cameras_failed,
+  std::printf("  cameras declared dead: %ld, recovered: %ld\n", crashed.faults.cameras_failed,
               crashed.faults.cameras_recovered);
 
   const SimulationResult intact = run_eecs_simulation(bank, knowledge, base);

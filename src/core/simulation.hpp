@@ -13,6 +13,7 @@
 // fire-and-forget loop.
 #pragma once
 
+#include <array>
 #include <string>
 
 #include "core/controller.hpp"
@@ -141,6 +142,7 @@ struct RoundLog {
 /// `liveness.cameras.failed`, ...) in the current telemetry session and this
 /// struct is assigned once, at the end of a run, from the registry deltas
 /// over that run. Semantics are identical to the legacy direct counting.
+/// Every field is listed, with its counter, in kFaultCounterFields.
 struct FaultCounters {
   long messages_sent = 0;      ///< Protocol messages offered to the network.
   long messages_lost = 0;      ///< ... that the network failed to deliver.
@@ -149,9 +151,9 @@ struct FaultCounters {
                                    ///< keeps its last-known-good assignment.
   long registrations_lost = 0;     ///< Feature uploads never delivered.
   long decode_errors = 0;          ///< Malformed payloads rejected on receipt.
-  int cameras_failed = 0;          ///< Declared dead by the liveness tracker.
-  int cameras_recovered = 0;       ///< Heard from again after being presumed dead.
-  int midround_reselections = 0;
+  long cameras_failed = 0;         ///< Declared dead by the liveness tracker.
+  long cameras_recovered = 0;      ///< Heard from again after being presumed dead.
+  long midround_reselections = 0;
   long frames_skipped_exhausted = 0;  ///< Camera-frames skipped on empty battery.
 
   // Durable-runtime accounting. Every pushed assignment ends in exactly one
@@ -169,7 +171,41 @@ struct FaultCounters {
   long degradation_stepdowns = 0;    ///< Ladder transitions to a deeper rung.
   long degradation_stepups = 0;      ///< Recovery transitions back up.
   long frames_parked = 0;            ///< Camera-frames spent at the Parked rung.
+
+  [[nodiscard]] bool operator==(const FaultCounters&) const = default;
 };
+
+/// A FaultCounters field and the registry counter it is the run delta of.
+struct FaultCounterField {
+  long FaultCounters::*field;
+  const char* metric;
+};
+
+/// Every FaultCounters field, in the serialization order of a snapshot's
+/// "counters" section. Append-only: new fields go at the end so snapshots
+/// from older builds (shorter vectors) still resume.
+inline constexpr std::array<FaultCounterField, 20> kFaultCounterFields = {{
+    {&FaultCounters::messages_sent, "net.messages.sent"},
+    {&FaultCounters::messages_lost, "net.messages.lost"},
+    {&FaultCounters::assignments_retried, "protocol.assignments.retried"},
+    {&FaultCounters::assignments_abandoned, "protocol.assignments.abandoned"},
+    {&FaultCounters::registrations_lost, "protocol.registrations.lost"},
+    {&FaultCounters::decode_errors, "protocol.decode_errors"},
+    {&FaultCounters::cameras_failed, "liveness.cameras.failed"},
+    {&FaultCounters::cameras_recovered, "liveness.cameras.recovered"},
+    {&FaultCounters::midround_reselections, "liveness.midround_reselections"},
+    {&FaultCounters::frames_skipped_exhausted, "battery.frames_skipped"},
+    {&FaultCounters::assignments_pushed, "protocol.assignments.pushed"},
+    {&FaultCounters::assignments_acked, "protocol.assignments.acked"},
+    {&FaultCounters::acks_late, "protocol.acks.late"},
+    {&FaultCounters::assignments_dropped, "protocol.assignments.dropped"},
+    {&FaultCounters::assignments_replaced, "protocol.assignments.replaced"},
+    {&FaultCounters::assignments_pending_at_exit, "protocol.assignments.pending_at_exit"},
+    {&FaultCounters::deadline_misses, "runtime.deadline.misses"},
+    {&FaultCounters::degradation_stepdowns, "runtime.degradation.stepdowns"},
+    {&FaultCounters::degradation_stepups, "runtime.degradation.stepups"},
+    {&FaultCounters::frames_parked, "battery.frames_parked"},
+}};
 
 /// Wall-clock seconds per pipeline stage, for bench observability only.
 /// Excluded from determinism comparisons: every other SimulationResult field

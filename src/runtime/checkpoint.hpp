@@ -71,9 +71,9 @@ struct SimulationCheckpoint {
   };
   std::vector<RoundLogState> rounds;
 
-  /// FaultCounters deltas accumulated before the checkpoint, in the field
-  /// order of core::FaultCounters (the simulation owns the ordering; the
-  /// count prefix lets older snapshots resume into a build with new fields).
+  /// FaultCounters of the run up to the checkpoint, in the order of
+  /// core::kFaultCounterFields (the simulation owns the ordering; the count
+  /// prefix lets older snapshots resume into a build with new fields).
   std::vector<std::int64_t> fault_counters;
 
   // ---- Per-camera device + runtime state.

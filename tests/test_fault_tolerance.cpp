@@ -206,5 +206,26 @@ TEST_F(FaultTolerance, FixedComboEnforcesBatteries) {
   for (double residual : constrained.battery_residual) EXPECT_LE(residual, 2.0);
 }
 
+// A round that advances no ground-truth frame would loop forever, pushing
+// assignments each pass; such configs are rejected on entry. The checks
+// fire before any detector or profile is used, so empty ones suffice.
+TEST(SimulationContracts, RejectsRoundsThatNeverAdvanceTheScene) {
+  const DetectorBank no_detectors;
+  const OfflineKnowledge no_knowledge({}, domain::VideoComparator{}, nullptr);
+  const auto rejects = [&](const EecsSimulationConfig& cfg) {
+    EXPECT_THROW((void)run_eecs_simulation(no_detectors, no_knowledge, cfg), ContractViolation);
+  };
+  EecsSimulationConfig empty_windows;
+  empty_windows.assessment_gt_frames = 0;
+  empty_windows.operation_gt_frames = 0;
+  rejects(empty_windows);
+  EecsSimulationConfig negative_window;
+  negative_window.assessment_gt_frames = -4;
+  rejects(negative_window);
+  EecsSimulationConfig zero_step;
+  zero_step.gt_frame_step = 0;
+  rejects(zero_step);
+}
+
 }  // namespace
 }  // namespace eecs::core

@@ -38,6 +38,22 @@ class EecsIntegration : public ::testing::Test {
     cfg.end_frame = 1900;  // One recalibration round.
     return cfg;
   }
+
+  // Heavy fault injection: lossy links, a mid-run blackout, a camera crash and
+  // reboot, a round deadline and the degradation ladder.
+  static EecsSimulationConfig faulted_config() {
+    EecsSimulationConfig cfg = config(SelectionMode::AllBest);
+    cfg.uplink.loss_probability = 0.15;
+    cfg.downlink.loss_probability = 0.2;
+    cfg.battery_joules = 120.0;  // Small, though every camera ends the run 70-90% charged.
+    cfg.end_frame = 2200;        // Two rounds, so a round-1 checkpoint resumes mid-run.
+    cfg.faults.add_blackout(1450, 1520);
+    cfg.faults.add_crash(1, 1600, 1750);  // Camera 0 is network node 1.
+    cfg.runtime.round_deadline_gt_frames = 3.0;
+    cfg.runtime.degradation.enabled = true;
+    cfg.runtime.degradation.anomaly_advisory = true;
+    return cfg;
+  }
 };
 
 TEST_F(EecsIntegration, OfflineTrainingProfilesAllItemsAndAlgorithms) {
@@ -159,24 +175,39 @@ TEST_F(EecsIntegration, FaultAndTimingViewsMatchRegistry) {
   // FaultCounters/StageTimings are views assigned once from the obs registry;
   // in a fresh session the run's deltas equal the absolute metric values.
   obs::ScopedTelemetry telemetry;
-  const SimulationResult result =
-      run_eecs_simulation(bank(), knowledge(), config(SelectionMode::SubsetDowngrade));
+  const SimulationResult result = run_eecs_simulation(bank(), knowledge(), faulted_config());
   auto& metrics = telemetry.session().metrics();
-  const auto count = [&](const char* name) {
-    return static_cast<long>(metrics.counter(name).value());
+  // Every field with its metric name, written out independently of the
+  // kFaultCounterFields table, so a swapped or renamed entry fails here.
+  const std::vector<std::pair<long FaultCounters::*, const char*>> expected = {
+      {&FaultCounters::messages_sent, "net.messages.sent"},
+      {&FaultCounters::messages_lost, "net.messages.lost"},
+      {&FaultCounters::assignments_retried, "protocol.assignments.retried"},
+      {&FaultCounters::assignments_abandoned, "protocol.assignments.abandoned"},
+      {&FaultCounters::registrations_lost, "protocol.registrations.lost"},
+      {&FaultCounters::decode_errors, "protocol.decode_errors"},
+      {&FaultCounters::cameras_failed, "liveness.cameras.failed"},
+      {&FaultCounters::cameras_recovered, "liveness.cameras.recovered"},
+      {&FaultCounters::midround_reselections, "liveness.midround_reselections"},
+      {&FaultCounters::frames_skipped_exhausted, "battery.frames_skipped"},
+      {&FaultCounters::assignments_pushed, "protocol.assignments.pushed"},
+      {&FaultCounters::assignments_acked, "protocol.assignments.acked"},
+      {&FaultCounters::acks_late, "protocol.acks.late"},
+      {&FaultCounters::assignments_dropped, "protocol.assignments.dropped"},
+      {&FaultCounters::assignments_replaced, "protocol.assignments.replaced"},
+      {&FaultCounters::assignments_pending_at_exit, "protocol.assignments.pending_at_exit"},
+      {&FaultCounters::deadline_misses, "runtime.deadline.misses"},
+      {&FaultCounters::degradation_stepdowns, "runtime.degradation.stepdowns"},
+      {&FaultCounters::degradation_stepups, "runtime.degradation.stepups"},
+      {&FaultCounters::frames_parked, "battery.frames_parked"},
   };
-  EXPECT_EQ(result.faults.messages_sent, count("net.messages.sent"));
-  EXPECT_EQ(result.faults.messages_lost, count("net.messages.lost"));
-  EXPECT_EQ(result.faults.assignments_retried, count("protocol.assignments.retried"));
-  EXPECT_EQ(result.faults.assignments_abandoned, count("protocol.assignments.abandoned"));
-  EXPECT_EQ(result.faults.registrations_lost, count("protocol.registrations.lost"));
-  EXPECT_EQ(result.faults.decode_errors, count("protocol.decode_errors"));
-  EXPECT_EQ(result.faults.cameras_failed, static_cast<int>(count("liveness.cameras.failed")));
-  EXPECT_EQ(result.faults.cameras_recovered,
-            static_cast<int>(count("liveness.cameras.recovered")));
-  EXPECT_EQ(result.faults.midround_reselections,
-            static_cast<int>(count("liveness.midround_reselections")));
-  EXPECT_EQ(result.faults.frames_skipped_exhausted, count("battery.frames_skipped"));
+  ASSERT_EQ(kFaultCounterFields.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const auto& [field, metric] = expected[i];
+    EXPECT_TRUE(kFaultCounterFields[i].field == field) << "snapshot slot " << i;
+    EXPECT_STREQ(kFaultCounterFields[i].metric, metric);
+    EXPECT_EQ(result.faults.*field, static_cast<long>(metrics.counter(metric).value())) << metric;
+  }
   const auto gauge = [&](const char* name) {
     return metrics.gauge(name, obs::Determinism::WallClock).value();
   };
@@ -196,16 +227,7 @@ TEST_F(EecsIntegration, FaultAndTimingViewsMatchRegistry) {
 // EECS_OBS_OFF (check() reports "obs-off" and passes), so this compiles and
 // runs in both build flavours.
 TEST_F(EecsIntegration, LedgerConservationSurvivesFaultsAndResume) {
-  EecsSimulationConfig cfg = config(SelectionMode::AllBest);
-  cfg.uplink.loss_probability = 0.15;
-  cfg.downlink.loss_probability = 0.2;
-  cfg.battery_joules = 120.0;  // Small enough that cameras run dry mid-run.
-  cfg.end_frame = 2200;        // Two rounds, so a round-1 checkpoint resumes mid-run.
-  cfg.faults.add_blackout(1450, 1520);
-  cfg.faults.add_crash(1, 1600, 1750);  // Camera 0 is network node 1.
-  cfg.runtime.round_deadline_gt_frames = 3.0;
-  cfg.runtime.degradation.enabled = true;
-  cfg.runtime.degradation.anomaly_advisory = true;
+  const EecsSimulationConfig cfg = faulted_config();
 
   const auto conservation_of = [&](const EecsSimulationConfig& run_cfg) {
     obs::ScopedTelemetry telemetry;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -17,6 +18,15 @@
 #include "runtime/degradation.hpp"
 #include "runtime/protocol.hpp"
 #include "runtime/snapshot.hpp"
+
+namespace eecs::core {
+// Readable failure output for whole-struct FaultCounters comparisons.
+void PrintTo(const FaultCounters& faults, std::ostream* os) {
+  for (const FaultCounterField& counter : kFaultCounterFields) {
+    *os << counter.metric << '=' << faults.*counter.field << ' ';
+  }
+}
+}  // namespace eecs::core
 
 namespace eecs {
 namespace {
@@ -520,31 +530,35 @@ TEST_F(RuntimeResume, CheckpointThenResumeIsBitIdenticalToUninterrupted) {
   const core::SimulationResult partial = run_eecs_simulation(bank(), knowledge(), crash);
   EXPECT_LT(partial.gt_frames_processed, uninterrupted.gt_frames_processed);
 
+  // The resumed leg checkpoints again at its last round, so a second resume
+  // from that snapshot chains two resumes and must land on the same result.
+  const char* chained_path = "test_runtime_resume_chained.snap";
   core::EecsSimulationConfig resume = config();
   resume.runtime.resume_from = path;
+  resume.runtime.checkpoint_every_rounds = 1;
+  resume.runtime.checkpoint_path = chained_path;
   const core::SimulationResult resumed = run_eecs_simulation(bank(), knowledge(), resume);
+  core::EecsSimulationConfig chain = config();
+  chain.runtime.resume_from = chained_path;
+  const core::SimulationResult chained = run_eecs_simulation(bank(), knowledge(), chain);
 
-  EXPECT_EQ(resumed.cpu_joules, uninterrupted.cpu_joules);
-  EXPECT_EQ(resumed.radio_joules, uninterrupted.radio_joules);
-  EXPECT_EQ(resumed.humans_detected, uninterrupted.humans_detected);
-  EXPECT_EQ(resumed.humans_present, uninterrupted.humans_present);
-  EXPECT_EQ(resumed.gt_frames_processed, uninterrupted.gt_frames_processed);
-  ASSERT_EQ(resumed.rounds.size(), uninterrupted.rounds.size());
-  for (std::size_t i = 0; i < resumed.rounds.size(); ++i) {
-    EXPECT_EQ(resumed.rounds[i].start_frame, uninterrupted.rounds[i].start_frame);
-    EXPECT_EQ(resumed.rounds[i].stats.n_est, uninterrupted.rounds[i].stats.n_est);
-    EXPECT_EQ(resumed.rounds[i].stats.summary, uninterrupted.rounds[i].stats.summary);
+  for (const core::SimulationResult* r : {&resumed, &chained}) {
+    EXPECT_EQ(r->cpu_joules, uninterrupted.cpu_joules);
+    EXPECT_EQ(r->radio_joules, uninterrupted.radio_joules);
+    EXPECT_EQ(r->humans_detected, uninterrupted.humans_detected);
+    EXPECT_EQ(r->humans_present, uninterrupted.humans_present);
+    EXPECT_EQ(r->gt_frames_processed, uninterrupted.gt_frames_processed);
+    EXPECT_EQ(r->windows_evaluated, uninterrupted.windows_evaluated);
+    EXPECT_EQ(r->windows_pruned, uninterrupted.windows_pruned);
+    ASSERT_EQ(r->rounds.size(), uninterrupted.rounds.size());
+    for (std::size_t i = 0; i < r->rounds.size(); ++i) {
+      EXPECT_EQ(r->rounds[i].start_frame, uninterrupted.rounds[i].start_frame);
+      EXPECT_EQ(r->rounds[i].stats.n_est, uninterrupted.rounds[i].stats.n_est);
+      EXPECT_EQ(r->rounds[i].stats.summary, uninterrupted.rounds[i].stats.summary);
+    }
+    EXPECT_EQ(r->battery_residual, uninterrupted.battery_residual);
+    EXPECT_EQ(r->faults, uninterrupted.faults);
   }
-  ASSERT_EQ(resumed.battery_residual.size(), uninterrupted.battery_residual.size());
-  for (std::size_t c = 0; c < resumed.battery_residual.size(); ++c) {
-    EXPECT_EQ(resumed.battery_residual[c], uninterrupted.battery_residual[c]);
-  }
-  EXPECT_EQ(resumed.faults.messages_sent, uninterrupted.faults.messages_sent);
-  EXPECT_EQ(resumed.faults.messages_lost, uninterrupted.faults.messages_lost);
-  EXPECT_EQ(resumed.faults.assignments_retried, uninterrupted.faults.assignments_retried);
-  EXPECT_EQ(resumed.faults.assignments_pushed, uninterrupted.faults.assignments_pushed);
-  EXPECT_EQ(resumed.faults.assignments_acked, uninterrupted.faults.assignments_acked);
-  EXPECT_EQ(resumed.faults.deadline_misses, uninterrupted.faults.deadline_misses);
 
   // Both ways, every pushed assignment is accounted for.
   for (const core::SimulationResult* r : {&uninterrupted, &resumed}) {

@@ -67,22 +67,21 @@ std::string result_report(const SimulationResult& r) {
   append(out, "cpu=%.17g radio=%.17g detected=%d present=%d frames=%d rounds=%zu\n", r.cpu_joules,
          r.radio_joules, r.humans_detected, r.humans_present, r.gt_frames_processed,
          r.rounds.size());
+  append(out, "windows evaluated=%llu pruned=%llu\n",
+         static_cast<unsigned long long>(r.windows_evaluated),
+         static_cast<unsigned long long>(r.windows_pruned));
   for (const auto& round : r.rounds) {
-    append(out, "round@%d n=%.17g p=%.17g active=%d %s\n", round.start_frame, round.stats.n_est,
-           round.stats.p_est, round.stats.cameras_active, round.stats.summary.c_str());
+    append(out, "round@%d%s n*=%.17g p*=%.17g n=%.17g p=%.17g active=%d %s\n",
+           round.start_frame, round.midround_recovery ? " recovery" : "", round.stats.n_star,
+           round.stats.p_star, round.stats.n_est, round.stats.p_est, round.stats.cameras_active,
+           round.stats.summary.c_str());
   }
   for (std::size_t c = 0; c < r.battery_residual.size(); ++c) {
     append(out, "battery[%zu]=%.17g\n", c, r.battery_residual[c]);
   }
-  const FaultCounters& f = r.faults;
-  append(out,
-         "faults sent=%ld lost=%ld retried=%ld abandoned=%ld pushed=%ld acked=%ld late=%ld "
-         "dropped=%ld replaced=%ld pending=%ld misses=%ld down=%ld up=%ld parked=%ld skipped=%ld\n",
-         f.messages_sent, f.messages_lost, f.assignments_retried, f.assignments_abandoned,
-         f.assignments_pushed, f.assignments_acked, f.acks_late, f.assignments_dropped,
-         f.assignments_replaced, f.assignments_pending_at_exit, f.deadline_misses,
-         f.degradation_stepdowns, f.degradation_stepups, f.frames_parked,
-         f.frames_skipped_exhausted);
+  for (const FaultCounterField& counter : kFaultCounterFields) {
+    append(out, "%s=%ld\n", counter.metric, r.faults.*counter.field);
+  }
   return out;
 }
 

@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.windows_evaluated),
                 static_cast<unsigned long long>(r.windows_pruned),
                 r.windows_evaluated_fraction());
-    std::printf("   protocol: sent=%ld lost=%ld retried=%ld abandoned=%ld dead=%d recovered=%d\n",
+    std::printf("   protocol: sent=%ld lost=%ld retried=%ld abandoned=%ld dead=%ld recovered=%ld\n",
                 r.faults.messages_sent, r.faults.messages_lost, r.faults.assignments_retried,
                 r.faults.assignments_abandoned, r.faults.cameras_failed,
                 r.faults.cameras_recovered);
